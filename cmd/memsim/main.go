@@ -30,7 +30,7 @@ func main() {
 		rowPolicy = flag.String("row-policy", "op", "row policy: op (open page) or cpa (close page autoprecharge)")
 		list      = flag.Bool("list", false, "list benchmarks and mechanisms, then exit")
 		seed      = flag.Uint64("seed", 0, "override the profile's workload seed (0 = default)")
-		memfrac   = flag.Float64("memfrac", 0, "override the profile's memory fraction (0 = default)")
+		memfrac   = flag.Float64("memfrac", 0, "override the profile's memory fraction, in (0, 1] (0 = default)")
 		warmup    = flag.Uint64("warmup", 300_000, "warmup instructions")
 		replay    = flag.String("replay", "", "replay a recorded trace file instead of a synthetic profile")
 		workers   = flag.Int("workers", 0, "parallel channel-shard workers (0 or 1 = serial; clamped to the channel count; output is bit-identical at any setting)")
@@ -47,14 +47,8 @@ func main() {
 		return
 	}
 
-	prof, err := workload.ByName(*bench)
+	prof, err := profile(*bench, *seed, *memfrac)
 	fatal(err)
-	if *seed != 0 {
-		prof.Seed = *seed
-	}
-	if *memfrac > 0 {
-		prof.MemFraction = *memfrac
-	}
 	factory, err := sim.MechanismByName(*mech)
 	fatal(err)
 
@@ -113,6 +107,25 @@ func main() {
 			*traceOut, tr.Len(), tr.Dropped(), len(tr.Intervals()))
 		printTraceLatency(tr)
 	}
+}
+
+// profile resolves the benchmark profile with the -seed and -memfrac
+// overrides applied (zero keeps the profile's own value).
+func profile(bench string, seed uint64, memfrac float64) (workload.Profile, error) {
+	prof, err := workload.ByName(bench)
+	if err != nil {
+		return prof, err
+	}
+	if !(memfrac >= 0 && memfrac <= 1) {
+		return prof, fmt.Errorf("-memfrac %v out of [0, 1]", memfrac)
+	}
+	if seed != 0 {
+		prof.Seed = seed
+	}
+	if memfrac != 0 {
+		prof.MemFraction = memfrac
+	}
+	return prof, nil
 }
 
 // printTraceLatency reconstructs the enqueue-to-completion read-latency

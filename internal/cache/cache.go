@@ -104,9 +104,10 @@ type Result int
 // MSHR was allocated and a line fetch starts; MissMerged means the access
 // joined an MSHR whose fetch was already in flight (both fire the done
 // callback when the fill arrives); Blocked means nothing was done and the
-// caller must retry next cycle; Parked (AccessLoad only) means the access
-// would allocate a new line fetch but the caller forbade allocation — no
-// state was touched and no statistic counted.
+// caller must retry later — the same access is refused again until Gen
+// moves; Parked (AccessLoad only) means the access would allocate a new
+// line fetch but the caller forbade allocation — no state was touched and
+// no statistic counted.
 const (
 	Hit Result = iota
 	Miss
@@ -197,6 +198,14 @@ type Cache struct {
 	mshrQ    deque.Deque[*mshr] // MSHRs not yet issued to the backend
 	wbQ      deque.Deque[uint64]
 	tick     uint64 // LRU touch counter
+
+	// gen is the blocking generation: it advances on every event that can
+	// turn a load's Blocked answer into Hit, MissMerged or Miss — an MSHR
+	// allocated (the line may now be in flight), an MSHR freed by a fill
+	// (the line is now present and a slot is free), or a writeback leaving
+	// wbQ. While it stands still, a load refused earlier would be refused
+	// again, so the CPU parks such loads instead of re-probing them.
+	gen uint64
 
 	now       uint64                // cycle counter, advanced by Tick
 	delayQ    deque.Deque[deferred] // latency-deferred callbacks, FIFO (constant delay)
@@ -340,6 +349,7 @@ func (c *Cache) Access(addr uint64, isWrite bool, done func()) Result {
 		m.waiters = append(m.waiters, done)
 	}
 	c.mshrs.Put(la, m)
+	c.gen++
 	c.mshrQ.PushBack(m)
 	c.Stats.Misses++
 	return Miss
@@ -402,6 +412,7 @@ func (c *Cache) AccessLoad(addr uint64, mayAllocate bool, done func()) Result {
 		m.waiters = append(m.waiters, done)
 	}
 	c.mshrs.Put(la, m)
+	c.gen++
 	c.mshrQ.PushBack(m)
 	c.Stats.Misses++
 	return Miss
@@ -419,6 +430,22 @@ func (c *Cache) WouldAllocate(addr uint64) bool {
 	_, inflight := c.mshrs.Get(c.lineAddr(addr))
 	return !inflight
 }
+
+// WouldBlock reports, with no side effects, whether a load of addr issued
+// with a free LSQ slot would be refused right now: AccessLoad(addr, true,
+// ...) would return Blocked.
+func (c *Cache) WouldBlock(addr uint64) bool {
+	return c.WouldAllocate(addr) && (c.mshrs.Len() >= c.cfg.MSHRs || c.wbQ.Len() >= c.cfg.WritebackBuf)
+}
+
+// Gen returns the blocking generation (see the field comment). A load
+// refused with Blocked at generation g is still refused while Gen() == g
+// and the load may allocate.
+func (c *Cache) Gen() uint64 { return c.gen }
+
+// CountBlocked adds n refused load retries to Stats.Blocked: the CPU
+// accounts retries of parked loads in bulk instead of performing them.
+func (c *Cache) CountBlocked(n uint64) { c.Stats.Blocked += n }
 
 // Probe reports whether the line is present without touching LRU state.
 // The MRU hint is checked first — same shortcut as Access, equally
@@ -477,6 +504,7 @@ func (c *Cache) Tick() {
 			break
 		}
 		c.wbQ.PopFront()
+		c.gen++
 		c.Stats.Writebacks++
 	}
 }
@@ -486,6 +514,7 @@ func (c *Cache) Tick() {
 func (c *Cache) fill(m *mshr) {
 	la := m.addr
 	c.mshrs.Delete(la)
+	c.gen++
 	set, tag := c.index(la)
 	ways := c.lines[int(set)*c.ways : int(set)*c.ways+c.ways]
 	victim := 0

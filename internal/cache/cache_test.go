@@ -371,3 +371,80 @@ func TestMissRateStat(t *testing.T) {
 		t.Fatal("reset did not clear stats")
 	}
 }
+
+// TestBlockingGeneration: Gen moves on exactly the events that can turn a
+// Blocked load into Hit, MissMerged or Miss (MSHR allocated, fill, writeback
+// drained), and WouldBlock predicts AccessLoad's Blocked with no side
+// effects.
+func TestBlockingGeneration(t *testing.T) {
+	m := &memStub{}
+	cfg := smallConfig()
+	cfg.WritebackBuf = 1
+	c := mustCache(t, cfg, m)
+	gen := c.Gen()
+	step := func(what string, moved bool) {
+		t.Helper()
+		if g := c.Gen(); (g != gen) != moved {
+			t.Fatalf("%s: generation %d -> %d, want moved=%v", what, gen, g, moved)
+		}
+		gen = c.Gen()
+	}
+	for i := 0; i < 4; i++ {
+		if r := c.AccessLoad(uint64(i)<<6, true, nil); r != Miss {
+			t.Fatalf("miss %d = %v", i, r)
+		}
+		step("MSHR allocation", true)
+	}
+	if !c.WouldBlock(99<<6) || c.WouldBlock(0) {
+		t.Fatal("WouldBlock: want a new line refused and an in-flight line merged")
+	}
+	before := c.Stats
+	if r := c.AccessLoad(99<<6, true, nil); r != Blocked {
+		t.Fatalf("5th distinct miss = %v, want blocked", r)
+	}
+	step("refused load", false)
+	c.AccessLoad(0, true, nil)
+	step("merged miss", false)
+	c.Tick() // issues the MSHRs: no slot frees
+	step("MSHR issue", false)
+	if c.Stats.Blocked != before.Blocked+1 {
+		t.Fatalf("Blocked %d, want %d", c.Stats.Blocked, before.Blocked+1)
+	}
+	m.deliver()
+	step("fills", true)
+	if c.WouldBlock(99 << 6) {
+		t.Fatal("WouldBlock after fills freed the MSHRs")
+	}
+	c.AccessLoad(0, true, nil)
+	step("hit", false)
+
+	// A dirty victim stuck behind a busy backend fills the one-entry
+	// writeback buffer; draining it moves the generation.
+	c.Access(5<<6, true, nil)
+	c.Tick()
+	m.deliver()
+	step("dirty fill", true)
+	m.busy = true
+	c.Access(37<<6, false, nil)
+	c.Access(69<<6, false, nil) // set 5: the second fill evicts dirty 5<<6
+	m.busy = false
+	c.Tick()
+	m.busy = true
+	m.deliver()
+	gen = c.Gen()
+	if c.PendingWritebacks() != 1 || !c.WouldBlock(7<<6) {
+		t.Fatalf("want one queued writeback blocking new misses, have %d", c.PendingWritebacks())
+	}
+	c.Tick()
+	step("writeback refused by the backend", false)
+	m.busy = false
+	c.Tick()
+	step("writeback drained", true)
+	if c.WouldBlock(7 << 6) {
+		t.Fatal("WouldBlock after the writeback drained")
+	}
+	c.CountBlocked(5)
+	if c.Stats.Blocked != before.Blocked+6 {
+		t.Fatalf("CountBlocked: Blocked %d, want %d", c.Stats.Blocked, before.Blocked+6)
+	}
+}

@@ -20,9 +20,11 @@
 // Pending loads are event-driven: instead of one linear replay list walked
 // every cycle, loads park on wakeup queues keyed by what blocks them
 // (dependence, LSQ slot, blocked cache), and a completing load wakes
-// exactly its dependent. The replay walk visits only queues that can make
-// progress, which also makes SkipEligible O(1) and gives NextEventCycle a
-// precise bound for the simulator's cycle-skipping engine.
+// exactly its dependent. Cache-blocked loads wait on the L1's blocking
+// generation: while it stands still their retries are counted, not
+// performed. The replay walk visits only queues that can make progress,
+// which also makes SkipEligible O(1) and gives NextEventCycle a precise
+// bound for the simulator's cycle-skipping engine.
 package cpu
 
 import (
@@ -157,8 +159,11 @@ type CPU struct {
 	//
 	//   readyQ   — dependence resolved by a completing load; must retry.
 	//   blockedQ — cache refused the access (MSHR/writeback pressure or
-	//              saturated memory write queue); must retry every cycle
-	//              (each retry is what the cache's Blocked stat counts).
+	//              saturated memory write queue). Each cycle's retry is
+	//              what the cache's Blocked stat counts; while the L1's
+	//              blocking generation equals blockGen and the LSQ has a
+	//              slot, every retry would be refused again, so the loads
+	//              are parked and the retries counted in bulk.
 	//   lsqQ     — parked on a full LSQ; visited only while the walk's
 	//              bug-compatible lsqFull flag is unset.
 	//   depQ     — parked on an unresolved address dependence; woken by
@@ -204,11 +209,22 @@ type CPU struct {
 	issuedSeq []uint64 // rob generation at last issue, per slot
 
 	// stalled records that the last Tick ended SkipEligible: until an
-	// external cache callback arrives, every subsequent Tick is a pure
-	// stall whose only effects are the counters SkipCycles accounts, so
-	// Tick short-circuits. Cleared by loadReturned and store-fill
-	// callbacks (the only external unblock events).
+	// external cache callback arrives or the L1's blocking generation
+	// moves, every subsequent Tick is a pure stall whose only effects are
+	// the counters SkipCycles accounts, so Tick short-circuits. Cleared by
+	// loadReturned and store-fill callbacks; a moved generation is checked
+	// where the flag is read (blockedIdle).
 	stalled bool
+
+	// bport is mem's blocking-generation view, nil when the port has none
+	// (test stubs, wrapping shims): cache-blocked loads then retry every
+	// cycle. blockGen is the generation at the end of the last full Tick,
+	// when every load in blockedQ had just been refused.
+	bport    blockPort
+	blockGen uint64
+	// shadow cross-checks every bulk-counted retry under -tags invariants
+	// (parkshadow_on.go); zero-size otherwise.
+	shadow parkShadow
 
 	// prober is mem's WouldAllocate view, resolved once at construction so
 	// the load-issue path avoids a per-call interface assertion (nil when
@@ -260,6 +276,7 @@ func New(cfg Config, gen workload.Generator, mem Mem) (*CPU, error) {
 	}
 	c.prober, _ = mem.(allocProber)
 	c.lport, _ = mem.(loadPort)
+	c.bport, _ = mem.(blockPort)
 	// L1-hit completions in flight are bounded by the LSQ; prewarm the
 	// ring so the steady-state loop never pays its doubling growth.
 	c.delayQ.Reserve(cfg.LSQSize)
@@ -293,12 +310,13 @@ func (c *CPU) Cycles() uint64 { return c.Stats.Cycles }
 // While stalled (see the field comment), a full Tick provably performs
 // exactly the SkipCycles(1) accounting — fireDelayed has nothing queued,
 // drainStores has everything issued and no fill at the head, retire blocks
-// on the head, replay has no runnable queue, dispatch hits the full ROB —
-// so it short-circuits to that.
+// on the head, replay has no runnable queue (cache-blocked loads would be
+// refused again), dispatch hits the full ROB — so it short-circuits to
+// that.
 //
 //burstmem:hotpath
 func (c *CPU) Tick() {
-	if c.stalled {
+	if c.stalled && c.blockedIdle() {
 		c.SkipCycles(1)
 		return
 	}
@@ -309,6 +327,9 @@ func (c *CPU) Tick() {
 	c.retire()
 	c.replay()
 	c.dispatch()
+	if c.bport != nil {
+		c.blockGen = c.bport.Gen()
+	}
 	c.stalled = c.SkipEligible()
 }
 
@@ -438,15 +459,43 @@ func (c *CPU) retire() {
 }
 
 // walkNeeded reports whether a replay walk could have any observable
-// effect: a woken dependent, a cache-blocked load that must retry, or an
-// LSQ-parked load with a free slot. Dep-parked loads never require a walk
-// (completeLoad wakes them), and LSQ-parked loads behind a full LSQ would
-// only be skipped.
+// effect beyond counting refused retries: a woken dependent, a
+// cache-blocked load that might now get through, or an LSQ-parked load
+// with a free slot. Dep-parked loads never require a walk (completeLoad
+// wakes them), and LSQ-parked loads behind a full LSQ would only be
+// skipped.
 //
 //burstmem:hotpath
 func (c *CPU) walkNeeded() bool {
-	return len(c.readyQ) > 0 || len(c.blockedQ) > 0 ||
+	return len(c.readyQ) > 0 || !c.blockedIdle() ||
 		(len(c.lsqQ) > 0 && c.lsqInFlight < c.cfg.LSQSize)
+}
+
+// blockedIdle reports whether no cache-blocked load can get through this
+// cycle: blockedQ is empty, or every load in it is parked (blockedParked).
+//
+//burstmem:hotpath
+func (c *CPU) blockedIdle() bool {
+	return len(c.blockedQ) == 0 || c.blockedParked()
+}
+
+// blockedParked reports whether a retry of any load in blockedQ would be
+// refused again: the L1's blocking generation has not moved since the last
+// full Tick, when each of them was refused, and the LSQ has a free slot (a
+// full one would turn the refusal into a park on lsqQ).
+//
+//burstmem:hotpath
+func (c *CPU) blockedParked() bool {
+	return c.bport != nil && c.lsqInFlight < c.cfg.LSQSize && c.bport.Gen() == c.blockGen
+}
+
+// countParked accounts n cycles of retries of the parked loads in blockedQ
+// without performing them.
+//
+//burstmem:hotpath
+func (c *CPU) countParked(n uint64) {
+	c.shadow.checkParked(c, c.blockedQ)
+	c.bport.CountBlocked(n * uint64(len(c.blockedQ)))
 }
 
 // replay retries loads that could not issue earlier. The walk is a
@@ -472,6 +521,9 @@ func (c *CPU) walkNeeded() bool {
 //burstmem:hotpath
 func (c *CPU) replay() {
 	if !c.walkNeeded() {
+		if len(c.blockedQ) > 0 {
+			c.countParked(1)
+		}
 		return
 	}
 	lsqFull := c.lsqInFlight >= c.cfg.LSQSize
@@ -514,6 +566,13 @@ func (c *CPU) replay() {
 	// per-iteration cost is register compares, not four ROB loads.
 	const noSeq = ^uint64(0)
 	rs, bs, ls, ds := noSeq, noSeq, noSeq, noSeq
+	// parked holds while the blocked loads would be refused again. It
+	// cannot change during the walk: parked loads mean the MSHRs or the
+	// writeback buffer are full, so no load in the walk can Miss (only a
+	// fill or drain in the cache's Tick frees them), and without a Miss
+	// neither the generation nor lsqInFlight moves.
+	parked := c.blockedParked()
+	var parkedVisits uint64
 	if len(c.readyQ) > 0 {
 		rs = c.rob[c.readyQ[0]].seq
 	}
@@ -560,6 +619,14 @@ walk:
 			bs = noSeq
 			if bi < len(c.blockedQ) {
 				bs = c.rob[c.blockedQ[bi]].seq
+			}
+			if parked {
+				// The retry would be refused: count it, keep the load parked.
+				c.shadow.checkParked(c, c.blockedQ[bi-1:bi])
+				parkedVisits++
+				//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
+				newBlocked = append(newBlocked, idx)
+				continue
 			}
 		case 2:
 			idx = c.lsqQ[li]
@@ -613,12 +680,16 @@ walk:
 			//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
 			newDep = append(newDep, idx)
 		default:
-			// Cache-blocked: must retry every cycle (the retry is what
-			// the cache's Blocked statistic counts).
+			// Cache-blocked: parked until the L1's blocking generation
+			// moves; each cycle's retry (real or counted) is what the
+			// cache's Blocked statistic counts.
 			c.pstate[idx] = psBlocked
 			//lint:ignore hotalloc scratch queue keeps its capacity across walks, bounded by ROB size
 			newBlocked = append(newBlocked, idx)
 		}
+	}
+	if parkedVisits > 0 {
+		c.bport.CountBlocked(parkedVisits)
 	}
 	c.readyQ = c.readyQ[:0]
 	c.blockedQ, c.scratchB = newBlocked, c.blockedQ
@@ -723,6 +794,15 @@ func (c *CPU) tryIssueLoad(idx int, e *robEntry) bool {
 // allocProber is the optional memory-port query wouldAllocate uses.
 type allocProber interface{ WouldAllocate(addr uint64) bool }
 
+// blockPort is the optional blocking-generation port (the L1 cache). Gen
+// moves on every event that can let a refused load through; CountBlocked
+// accounts retries of parked loads in the Blocked statistic without
+// performing them.
+type blockPort interface {
+	Gen() uint64
+	CountBlocked(n uint64)
+}
+
 // loadPort is the optional fused load-access port (the L1 cache): one
 // probe decides LSQ admission and performs the access, returning
 // cache.Parked — side-effect free — when the load must wait for a slot.
@@ -818,8 +898,9 @@ func (c *CPU) dispatch() {
 // incomplete load, or a store facing a full buffer (retire idles; an
 // incomplete head is always a load, since non-memory ops and stores
 // dispatch completed); no wakeup queue runnable (replay idles); and the
-// ROB full (dispatch idles). All O(1) — the wakeup queues replace the
-// linear pending-load scan the check previously needed.
+// ROB full (dispatch idles). Cache-blocked loads count as idle while
+// parked on an unmoved blocking generation. All O(1) — the wakeup queues
+// replace the linear pending-load scan the check previously needed.
 func (c *CPU) SkipEligible() bool {
 	if c.delayQ.Len() != 0 || c.count < c.cfg.ROBSize {
 		return false
@@ -844,9 +925,10 @@ func (c *CPU) SkipEligible() bool {
 // exactly the stall counter SkipCycles bumps), no wakeup queue is
 // runnable, and the ROB is full.
 func (c *CPU) NextEventCycle() uint64 {
-	if c.stalled {
-		// SkipEligible held at the last Tick and no callback has arrived
-		// since: delayQ is empty, so nothing internal is scheduled.
+	if c.stalled && c.blockedIdle() {
+		// SkipEligible held at the last Tick, no callback has arrived and
+		// the blocking generation has not moved since: delayQ is empty,
+		// so nothing internal is scheduled.
 		return NoEvent
 	}
 	if c.count >= c.cfg.ROBSize && !c.walkNeeded() &&
@@ -875,9 +957,13 @@ func (c *CPU) InertFor(n uint64) bool {
 
 // SkipCycles accounts n skipped stall cycles (caller checked SkipEligible
 // or a NextEventCycle bound): the clock advances and the counters a
-// stalled Tick would have bumped — ROB-full at dispatch, plus the
-// head-blocked reason at retire — grow by n.
+// stalled Tick would have bumped — ROB-full at dispatch, the head-blocked
+// reason at retire, and the L1's Blocked count for each cache-blocked
+// load (the caller's check implies they are parked) — grow by n.
 func (c *CPU) SkipCycles(n uint64) {
+	if len(c.blockedQ) > 0 {
+		c.countParked(n)
+	}
 	c.now += n
 	c.Stats.Cycles += n
 	c.Stats.ROBFullCycles += n

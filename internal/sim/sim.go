@@ -636,7 +636,8 @@ const BestThreshold = 52
 
 // MechanismByName resolves a Table 4 mechanism name to its factory.
 // "Burst_TH" takes the paper's default threshold 52; "Burst_TH<n>" selects
-// threshold n.
+// threshold n, which must lie in [0, MaxWrites] of the default 64-entry
+// write queue (a larger pivot could never be reached).
 func MechanismByName(name string) (memctrl.Factory, error) {
 	switch name {
 	case "BkInOrder":
@@ -668,6 +669,9 @@ func MechanismByName(name string) (memctrl.Factory, error) {
 		th, err := strconv.Atoi(rest)
 		if err != nil || th < 0 {
 			return nil, fmt.Errorf("sim: bad burst threshold in %q", name)
+		}
+		if maxWrites := memctrl.DefaultConfig().MaxWrites; th > maxWrites {
+			return nil, fmt.Errorf("sim: burst threshold %d in %q exceeds the write-queue size (MaxWrites %d)", th, name, maxWrites)
 		}
 		return core.BurstTH(th), nil
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"burstmem/internal/workload"
@@ -61,6 +62,13 @@ func TestMechanismByName(t *testing.T) {
 	}
 	if _, err := MechanismByName("Burst_THx"); err == nil {
 		t.Error("bad threshold accepted")
+	}
+	if _, err := MechanismByName("Burst_TH64"); err != nil {
+		t.Errorf("threshold at the write-queue size: %v", err)
+	}
+	_, err := MechanismByName("Burst_TH999")
+	if err == nil || !strings.Contains(err.Error(), "exceeds the write-queue size (MaxWrites 64)") {
+		t.Errorf("threshold above the write-queue size: got %v, want a MaxWrites error", err)
 	}
 	if _, err := MechanismByName("FRFCFS"); err == nil {
 		t.Error("unknown mechanism accepted")

@@ -38,7 +38,7 @@ echo "== go test -race (full tree; covers the sim/profiling/experiments concurre
 go test -race ./...
 
 echo "== go test -tags invariants (protocol sanitizer armed) =="
-go test -tags invariants ./internal/mctest/ ./internal/sim/ ./internal/dram/ ./internal/memctrl/
+go test -tags invariants ./internal/mctest/ ./internal/sim/ ./internal/dram/ ./internal/memctrl/ ./internal/cpu/
 
 echo "== eventq gate (differential fuzz seed corpus + event-wheel shadow check) =="
 # The fuzz seeds replay the recorded operation sequences against the naive
@@ -68,28 +68,57 @@ go run ./cmd/memsim -bench swim -mech Burst_TH -n 50000 -warmup 20000 \
     -trace "$tracetmp/trace.json" -trace-interval 500 >/dev/null
 go run ./scripts/jsoncheck "$tracetmp/trace.json"
 
-echo "== serial perf gate (swim/Burst_TH quick smoke vs committed BENCH_sim.json) =="
-# One-iteration smoke of the serial hot path, emitted as JSON (validated by
-# jsoncheck like every other artifact) and compared against the committed
-# baseline: a drop of more than 10% fails the gate. A single iteration is
-# noisy, but the gate is meant to catch structural regressions (an
-# accidental O(n) scan, a lost fast path), not single-digit drift — the
-# committed number itself comes from the full scripts/bench.sh run.
-go test -bench 'BenchmarkSimThroughput/swim/Burst_TH$' -benchtime 1x -run '^$' . \
-    | awk '{ for (i = 2; i <= NF; i++) if ($i == "simcycles/s") v = $(i-1) }
-           END { printf "[\n  {\"case\": \"swim/Burst_TH\", \"simcycles_per_sec\": %d}\n]\n", v }' \
-    > "$tracetmp/perfgate.json"
+echo "== serial perf gate (swim/Burst_TH, same-host A/B against the parent) =="
+# The baseline is measured on this host, in this run: the parent of the
+# change under test and the working tree are built into two test binaries,
+# which then run swim/Burst_TH one -benchtime 1x iteration at a time,
+# alternately (the side that goes first swaps every pair), 9 times. The
+# parent is HEAD when the working tree has uncommitted changes, else the
+# merge-base with origin/main, else HEAD~1. The gate fails if the working
+# tree's median simcycles/s is more than 10% below the base's median.
+# Alternating keeps host drift out of the comparison; the median absorbs
+# single noisy runs. The gate still targets structural regressions (an
+# accidental O(n) scan, a lost fast path), not single-digit drift.
+if ! git diff --quiet HEAD; then
+    perf_base=HEAD
+else
+    perf_base=$(git merge-base HEAD origin/main 2>/dev/null || true)
+    if [ -z "$perf_base" ] || [ "$(git rev-parse "$perf_base")" = "$(git rev-parse HEAD)" ]; then
+        perf_base=HEAD~1
+    fi
+fi
+perf_pairs=9
+mkdir -p "$tracetmp/base"
+git archive "$perf_base" | tar -x -C "$tracetmp/base"
+(cd "$tracetmp/base" && go test -c -o "$tracetmp/base.test" .)
+go test -c -o "$tracetmp/head.test" .
+perf_run() { # $1 = base|head, $2 = its package dir; appends one simcycles/s sample to $tracetmp/$1.txt
+    (cd "$2" && "$tracetmp/$1.test" -test.run '^$' -test.timeout 5m \
+        -test.bench 'BenchmarkSimThroughput/swim/Burst_TH$' -test.benchtime 1x) \
+        | awk '{ for (i = 2; i <= NF; i++) if ($i == "simcycles/s") v = $(i-1) } END { print v + 0 }' \
+        >> "$tracetmp/$1.txt"
+}
+for i in $(seq "$perf_pairs"); do
+    if (( i % 2 )); then
+        perf_run base "$tracetmp/base"; perf_run head .
+    else
+        perf_run head .; perf_run base "$tracetmp/base"
+    fi
+done
+median() { sort -n "$1" | awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'; }
+baseline=$(median "$tracetmp/base.txt")
+current=$(median "$tracetmp/head.txt")
+printf '[\n  {"case": "swim/Burst_TH@%s", "simcycles_per_sec": %.0f},\n  {"case": "swim/Burst_TH", "simcycles_per_sec": %.0f}\n]\n' \
+    "$(git rev-parse --short "$perf_base")" "$baseline" "$current" > "$tracetmp/perfgate.json"
 go run ./scripts/jsoncheck -bench "$tracetmp/perfgate.json"
 go run ./scripts/jsoncheck -bench BENCH_sim.json
-baseline=$(awk -F'"simcycles_per_sec": ' '/"case": "swim\/Burst_TH"/ { split($2, a, ","); print a[1]; exit }' BENCH_sim.json)
-current=$(awk -F'"simcycles_per_sec": ' '/"case": "swim\/Burst_TH"/ { split($2, a, ","); print a[1]; exit }' "$tracetmp/perfgate.json")
-awk -v cur="$current" -v base="$baseline" 'BEGIN {
-    if (base + 0 <= 0) { print "FAIL: no swim/Burst_TH baseline in BENCH_sim.json"; exit 1 }
+awk -v cur="$current" -v base="$baseline" -v n="$perf_pairs" 'BEGIN {
+    if (base + 0 <= 0) { print "FAIL: no swim/Burst_TH baseline measured"; exit 1 }
     if (cur + 0 < 0.9 * base) {
-        printf "FAIL: swim/Burst_TH %d simcycles/s is >10%% below committed baseline %d (floor %.0f)\n", cur, base, 0.9 * base
+        printf "FAIL: swim/Burst_TH median %d simcycles/s is >10%% below the base median %d (floor %.0f, %d pairs)\n", cur, base, 0.9 * base, n
         exit 1
     }
-    printf "ok: swim/Burst_TH %d simcycles/s (baseline %d, floor %.0f)\n", cur, base, 0.9 * base
+    printf "ok: swim/Burst_TH median %d simcycles/s (base median %d, floor %.0f, %d pairs)\n", cur, base, 0.9 * base, n
 }'
 
 echo "== throughput bench (short) =="
