@@ -107,22 +107,42 @@ func BurstNaive() memctrl.Factory {
 	}
 }
 
-// BurstSized returns the Section 7 inter-burst variant: Burst_TH(52) with
-// largest-burst-first ordering inside banks (aging-guarded).
+// BurstSized returns the Section 7 inter-burst variant: Burst_TH at the
+// paper's threshold (BurstTHPaper) with largest-burst-first ordering inside
+// banks (aging-guarded).
 func BurstSized() memctrl.Factory {
 	return func(h *memctrl.Host) memctrl.Mechanism {
 		return newBurst(h, "Burst_SZ", Options{
 			ReadPreemption:    true,
 			WritePiggyback:    true,
-			Threshold:         52,
+			Threshold:         paperThreshold(h.Config().MaxWrites),
 			LargestBurstFirst: true,
 		})
 	}
 }
 
+// PaperThreshold is the paper's experimentally determined best threshold
+// for its 64-entry write queue.
+const PaperThreshold = 52
+
+// paperThreshold places PaperThreshold on a write queue of maxWrites
+// entries at the same relative position (52 of the paper's 64), as
+// Burst_RP's threshold (the whole queue) and Burst_DYN's starting point
+// (half of it) already scale with the queue.
+func paperThreshold(maxWrites int) int { return maxWrites * PaperThreshold / 64 }
+
+// BurstTHPaper returns Burst_TH at the paper's best threshold scaled to the
+// configured write queue: BurstTH(52) on the default 64-entry queue.
+func BurstTHPaper() memctrl.Factory {
+	return func(h *memctrl.Host) memctrl.Mechanism {
+		return BurstTH(paperThreshold(h.Config().MaxWrites))(h)
+	}
+}
+
 // BurstTH returns burst scheduling with both options switched by the static
-// threshold. The paper's experimentally determined best value is 52 (of a
-// 64-entry write queue).
+// threshold, which must lie in [0, MaxWrites] (memctrl.New rejects it
+// otherwise). The paper's experimentally determined best value is 52 (of a
+// 64-entry write queue; see BurstTHPaper).
 func BurstTH(threshold int) memctrl.Factory {
 	return func(h *memctrl.Host) memctrl.Mechanism {
 		return newBurst(h, fmt.Sprintf("%s%d", NameBurstTH, threshold), Options{
@@ -789,4 +809,3 @@ func cmdEventKind(c dram.Cmd) trace.Kind {
 func (s *burstSched) flatBank(rank, bank int) int {
 	return rank*s.host.Channel().Banks() + bank
 }
-

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"burstmem/internal/addrmap"
@@ -376,6 +377,7 @@ func TestBurstStatsCounts(t *testing.T) {
 // TestVariantNames checks Table 4 naming.
 func TestVariantNames(t *testing.T) {
 	cfg := mctest.SmallConfig(noRefresh(dram.DDR2_800()))
+	cfg.MaxWrites = cfg.PoolSize // the paper's 64-entry queue, room for threshold 52
 	for _, tc := range []struct {
 		factory memctrl.Factory
 		want    string
@@ -403,4 +405,44 @@ func mechOf(t *testing.T, r *mctest.Runner) *burstSched {
 		t.Fatalf("mechanism is %T, want *burstSched", r.Ctrl.Mechanism(0))
 	}
 	return m
+}
+
+// TestThresholdOutsideQueueRejected: a static threshold the write queue
+// could never reach (or a negative one) is a configuration error at
+// controller construction; the thresholds derived from the queue size
+// (Burst_RP's full queue, the scaled paper threshold, Burst_SZ, Burst_DYN)
+// always fit.
+func TestThresholdOutsideQueueRejected(t *testing.T) {
+	cfg := mctest.SmallConfig(noRefresh(dram.DDR2_800()))
+	cfg.MaxWrites = 32
+	for _, tc := range []struct {
+		factory memctrl.Factory
+		err     string // "" = accepted
+		name    string
+	}{
+		{BurstTH(52), "memctrl: Burst_TH52 write threshold 52 outside the write queue [0, MaxWrites 32]", ""},
+		{BurstTH(-1), "write threshold -1 outside the write queue", ""},
+		{BurstTH(32), "", "Burst_TH32"},
+		{BurstTH(0), "", "Burst_TH0"},
+		{BurstRP(), "", "Burst_RP"},
+		{BurstTHPaper(), "", "Burst_TH26"},
+		{BurstSized(), "", "Burst_SZ"},
+		{BurstDynTH(), "", NameBurstDyn},
+	} {
+		c, err := memctrl.New(cfg, tc.factory)
+		switch {
+		case tc.err != "":
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("got error %v, want one containing %q", err, tc.err)
+			}
+		case err != nil:
+			t.Errorf("%s rejected: %v", tc.name, err)
+		case c.MechanismName() != tc.name:
+			t.Errorf("name %q, want %q", c.MechanismName(), tc.name)
+		}
+	}
+	cfg.MaxWrites = 64
+	if c, err := memctrl.New(cfg, BurstTHPaper()); err != nil || c.MechanismName() != "Burst_TH52" {
+		t.Errorf("paper threshold on the 64-entry queue: %v, %v; want Burst_TH52", c, err)
+	}
 }

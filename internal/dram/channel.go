@@ -75,9 +75,6 @@ func (o RowOutcome) String() string {
 type bank struct {
 	open bool
 	row  uint32
-	// ver increments whenever this bank's state or timers change; the
-	// controller engine uses it to invalidate cached per-bank hints.
-	ver uint32
 
 	nextActivate  uint64
 	nextPrecharge uint64
@@ -103,9 +100,6 @@ type rank struct {
 	nextRefresh  uint64 // cycle the next refresh becomes due
 	refreshUntil uint64 // busy refreshing until this cycle (exclusive)
 
-	// ver increments whenever rank-wide constraint state changes (activate
-	// pacing, write turnaround, refresh schedule).
-	ver uint32
 	// openBanks counts open banks, for O(1) active-rank sampling.
 	openBanks int
 }
@@ -146,13 +140,13 @@ type Channel struct {
 
 	cmdThisCycle bool
 
-	// Monotone version counters for the controller's cached scheduling
-	// hints: stateVer bumps on every device-state mutation, busVer on every
-	// data-bus occupation, per-bank and per-rank counters live in their
-	// structs. Time passing is not a mutation — the engine's cached
-	// constraint bounds stay valid until one of these moves.
-	stateVer uint64
-	busVer   uint32
+	// Invalidation marks for the controller's cached issue bounds (see
+	// TakeDirty): bit r of dirtyRanks is set by every mutation of rank r's
+	// bank or rank state (activate, read, write, precharge, auto-close,
+	// refresh start), busMoved by every data-bus occupation. Time passing
+	// is not a mutation — cached bounds stay exact until a mark is set.
+	dirtyRanks uint64
+	busMoved   bool
 
 	// openRanks counts ranks with at least one open bank (incrementally
 	// maintained), so per-cycle background-power sampling is O(1).
@@ -181,6 +175,10 @@ func NewChannel(t Timing, ranks, banksPerRank int) (*Channel, error) {
 	}
 	if ranks < 1 || banksPerRank < 1 {
 		return nil, fmt.Errorf("dram: need at least one rank and bank (got %d, %d)", ranks, banksPerRank)
+	}
+	if ranks > 64 {
+		// TakeDirty reports dirty ranks in one uint64.
+		return nil, fmt.Errorf("dram: %d ranks per channel exceeds the 64 supported", ranks)
 	}
 	c := &Channel{T: t, busLastRank: -1}
 	c.ranks = make([]rank, ranks)
@@ -256,8 +254,7 @@ func (c *Channel) Tick(now uint64) bool {
 			c.san.refresh(c, r, now)
 			rk.refreshUntil = now + uint64(c.T.TRFC)
 			rk.nextRefresh += uint64(c.T.TREFI)
-			rk.ver++
-			c.stateVer++
+			c.dirtyRanks |= 1 << uint(r)
 			c.Stats.Refreshes++
 			c.Stats.Commands++
 			c.cmdThisCycle = true
@@ -330,8 +327,8 @@ func (c *Channel) EarliestIssue(cmd Cmd, t Target) uint64 {
 // EarliestReady returns the first cycle at which the command's bank and
 // rank timing constraints hold (including an in-progress refresh), with no
 // current-cycle floor and no data-bus term. The value depends only on state
-// covered by the target's bank version and rank version, never on c.now, so
-// the controller engine can cache it until one of those versions moves.
+// changed only by mutations of the target's rank (see TakeDirty), never on
+// c.now, so the controller engine can cache it until the rank is marked.
 //
 //burstmem:hotpath
 func (c *Channel) EarliestReady(cmd Cmd, t Target) uint64 {
@@ -369,7 +366,7 @@ func (c *Channel) EarliestReady(cmd Cmd, t Target) uint64 {
 // ColumnBusReady returns the first cycle the data bus lets the column
 // command launch for the rank (0 when unconstrained; non-column commands
 // are never bus-constrained). The value depends only on data-bus state, so
-// it can be cached against the channel's bus version.
+// it can be cached until TakeDirty reports the bus moved.
 //
 //burstmem:hotpath
 func (c *Channel) ColumnBusReady(cmd Cmd, rankIdx int) uint64 {
@@ -388,30 +385,29 @@ func (c *Channel) ColumnBusReady(cmd Cmd, rankIdx int) uint64 {
 	return 0
 }
 
-// StateVersion returns a counter that increments on every device-state
-// mutation (command issue, auto-precharge, refresh start). While it is
-// unchanged — and only commands the caller itself issues could change it —
-// every cached EarliestReady/ColumnBusReady bound remains exact.
+// TakeDirty returns, and clears, the invalidation marks set since the
+// previous call: a mask of the ranks whose bank or rank state changed
+// (command issue, auto-precharge, refresh start) and whether the data bus
+// was occupied. A rank outside the mask keeps every EarliestReady bound
+// exact; with bus false, every ColumnBusReady bound is exact too. The
+// marks have a single consumer, the channel's controller engine.
 //
 //burstmem:hotpath
-func (c *Channel) StateVersion() uint64 { return c.stateVer }
-
-// BankVersion returns the bank's mutation counter (see StateVersion).
-//
-//burstmem:hotpath
-func (c *Channel) BankVersion(rankIdx, bankIdx int) uint32 {
-	return c.ranks[rankIdx].banks[bankIdx].ver
+func (c *Channel) TakeDirty() (ranks uint64, bus bool) {
+	ranks, bus = c.dirtyRanks, c.busMoved
+	c.dirtyRanks, c.busMoved = 0, false
+	return ranks, bus
 }
 
-// RankVersion returns the rank's mutation counter (see StateVersion).
+// RefreshPending reports whether the rank's refresh is due but has not
+// started: activates to the rank are blocked until it completes. This is
+// the one CanIssue condition EarliestReady cannot bound, because it starts
+// with the passage of time rather than with a state change.
 //
 //burstmem:hotpath
-func (c *Channel) RankVersion(rankIdx int) uint32 { return c.ranks[rankIdx].ver }
-
-// BusVersion returns the data-bus mutation counter (see StateVersion).
-//
-//burstmem:hotpath
-func (c *Channel) BusVersion() uint32 { return c.busVer }
+func (c *Channel) RefreshPending(rankIdx int) bool {
+	return c.T.TREFI > 0 && c.now >= c.ranks[rankIdx].nextRefresh
+}
 
 // busNeed returns the first cycle the data bus could start a new transfer
 // for the rank (including turnaround gaps), and whether the bus has been
@@ -488,14 +484,10 @@ func (c *Channel) NextCommand(t Target, read bool) Cmd {
 //
 //burstmem:hotpath
 func (c *Channel) refreshBlocked(rankIdx int, cmd Cmd) bool {
-	rk := &c.ranks[rankIdx]
-	if rk.refreshUntil > c.now {
+	if c.ranks[rankIdx].refreshUntil > c.now {
 		return true
 	}
-	if c.T.TREFI > 0 && c.now >= rk.nextRefresh && cmd == CmdActivate {
-		return true
-	}
-	return false
+	return cmd == CmdActivate && c.RefreshPending(rankIdx)
 }
 
 // CanIssue reports whether the command is unblocked at the current cycle:
@@ -605,9 +597,7 @@ func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 		c.Stats.Activates++
 		c.tr.Command(now, trace.EvActivate, c.chIdx, t.Rank, t.Bank, t.Row, 0, 0)
 		bk.open = true
-		bk.ver++
-		rk.ver++
-		c.stateVer++
+		c.dirtyRanks |= 1 << uint(t.Rank)
 		if rk.openBanks++; rk.openBanks == 1 {
 			c.openRanks++
 		}
@@ -627,8 +617,7 @@ func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 		res.DataEnd = res.DataStart + uint64(c.T.DataCycles())
 		c.tr.Command(now, trace.EvRead, c.chIdx, t.Rank, t.Bank, t.Row, res.DataStart, res.DataEnd)
 		c.occupyBus(t.Rank, false, res)
-		bk.ver++
-		c.stateVer++
+		c.dirtyRanks |= 1 << uint(t.Rank)
 		gap := uint64(c.T.DataCycles())
 		bk.nextRead = now + gap
 		bk.nextWrite = now + gap
@@ -643,9 +632,7 @@ func (c *Channel) Issue(cmd Cmd, t Target, autoPrecharge bool) IssueResult {
 		c.tr.Command(now, trace.EvWrite, c.chIdx, t.Rank, t.Bank, t.Row, res.DataStart, res.DataEnd)
 		c.occupyBus(t.Rank, true, res)
 		rk.writeDataEnd = res.DataEnd
-		bk.ver++
-		rk.ver++
-		c.stateVer++
+		c.dirtyRanks |= 1 << uint(t.Rank)
 		gap := uint64(c.T.DataCycles())
 		bk.nextRead = now + gap
 		bk.nextWrite = now + gap
@@ -676,8 +663,7 @@ func (c *Channel) issuePrecharge(rankIdx, bankIdx int) {
 	c.tr.Command(c.now, trace.EvPrecharge, c.chIdx, rankIdx, bankIdx, bk.row, 0, 0)
 	bk.open = false
 	bk.nextActivate = maxU64(bk.nextActivate, c.now+uint64(c.T.TRP))
-	bk.ver++
-	c.stateVer++
+	c.dirtyRanks |= 1 << uint(rankIdx)
 	c.closeBankAccounting(rankIdx)
 }
 
@@ -693,8 +679,7 @@ func (c *Channel) autoClose(rankIdx, bankIdx int, preAt uint64) {
 	c.tr.Command(c.now, trace.EvAutoPrecharge, c.chIdx, rankIdx, bankIdx, bk.row, preAt, preAt)
 	bk.open = false
 	bk.nextActivate = maxU64(bk.nextActivate, preAt+uint64(c.T.TRP))
-	bk.ver++
-	c.stateVer++
+	c.dirtyRanks |= 1 << uint(rankIdx)
 	c.closeBankAccounting(rankIdx)
 }
 
@@ -714,8 +699,7 @@ func (c *Channel) occupyBus(rankIdx int, isWrite bool, res IssueResult) {
 	c.busLastRank = rankIdx
 	c.busLastWrite = isWrite
 	c.busUsed = true
-	c.busVer++
-	c.stateVer++
+	c.busMoved = true
 	c.Stats.DataBusCycles += uint64(c.T.DataCycles())
 }
 

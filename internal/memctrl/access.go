@@ -212,6 +212,14 @@ type Mechanism interface {
 	ForwardsWrites() bool
 }
 
+// Thresholder is the optional Mechanism extension for policies that pivot
+// on write-queue occupancy (burst scheduling's read-preemption/write-
+// piggybacking threshold). New rejects a mechanism whose threshold lies
+// outside [0, MaxWrites]: the write queue could never reach the pivot.
+type Thresholder interface {
+	CurrentThreshold() int
+}
+
 // Factory builds a Mechanism for one channel. The Host gives the mechanism
 // access to its channel, configuration and completion plumbing.
 type Factory func(h *Host) Mechanism

@@ -278,7 +278,13 @@ func New(cfg Config, factory Factory) (*Controller, error) {
 		host := &Host{ctrl: c, chIdx: i, ch: ch}
 		c.channels = append(c.channels, ch)
 		c.hosts = append(c.hosts, host)
-		c.mechs = append(c.mechs, factory(host))
+		m := factory(host)
+		if th, ok := m.(Thresholder); ok {
+			if v := th.CurrentThreshold(); v < 0 || v > cfg.MaxWrites {
+				return nil, fmt.Errorf("memctrl: %s write threshold %d outside the write queue [0, MaxWrites %d]", m.Name(), v, cfg.MaxWrites)
+			}
+		}
+		c.mechs = append(c.mechs, m)
 		c.pendingWriteLines = append(c.pendingWriteLines, u64map.New[*Access](cfg.MaxWrites))
 	}
 	// Pre-link the whole access free list: pool admission caps live
@@ -417,9 +423,10 @@ func (c *Controller) Tick(now uint64) {
 		c.tickChannelsParallel(now)
 	} else {
 		if c.par != nil {
-			// Rank-sharded mode: one prewarm barrier round refreshes the
-			// single channel's bank-hint cache across the workers, then the
-			// channel and mechanism tick serially on this goroutine.
+			// Rank-sharded mode: one barrier round runs the mechanisms'
+			// per-rank prewarm hooks (no-ops now that the engine's bounds
+			// are exact), then the channel and mechanism tick serially on
+			// this goroutine.
 			c.par.rounds++
 			c.par.pool.Run()
 		}
@@ -502,7 +509,7 @@ func (c *Controller) TickWindow(from, to uint64) {
 	}
 	if c.par != nil {
 		// Rank-sharded mode: one prewarm round covers the window start;
-		// in-window hint invalidations re-sync serially as always.
+		// the engine re-syncs serially as always.
 		c.par.rounds++
 		c.par.pool.Run()
 	}
@@ -711,6 +718,11 @@ type Host struct {
 	ctrl  *Controller
 	chIdx int
 	ch    *dram.Channel
+	// engine is the last Engine built on this host (NewEngine records
+	// it), so tests can cross-check a mechanism's engine from outside.
+	//
+	//burstmem:chanlocal
+	engine *Engine
 
 	// tr is the tracer mechanisms emit through: the controller's tracer on
 	// the serial path, this channel's capture tracer inside a parallel

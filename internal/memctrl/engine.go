@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"burstmem/internal/dram"
-	"burstmem/internal/eventq"
 )
 
 // Engine tracks each bank's ongoing access — the access whose transactions
@@ -18,19 +17,20 @@ import (
 // (bits.TrailingZeros64 per occupied bank) instead of scanning the whole
 // rank×bank grid.
 //
-// On top of the bitmaps sits a version-guarded hint cache: for every
-// occupied bank the engine remembers the next transaction and the earliest
-// cycle it can issue, stamped with the channel's bank/rank/bus mutation
-// counters. The channel state a hint depends on is time-independent (the
-// timers are absolute cycles; only comparisons against "now" move), so a
-// hint stays exact until one of its counters advances — most cycles nothing
-// does, and the whole candidate/next-event machinery reduces to a few
-// version compares plus one peek of an eventq.Wheel keyed by the hints'
-// issue cycles.
+// On top of the bitmaps sits a cache of exact issue bounds: for every
+// occupied bank the engine remembers the next transaction and the first
+// cycle it can issue. The channel state a bound depends on is
+// time-independent (the timers are absolute cycles; only comparisons
+// against "now" move), so a bound stays exact until the channel marks its
+// rank dirty or the data bus moves (dram.Channel.TakeDirty). Both scheduler
+// queries then come from the cache: a bank can issue now exactly when its
+// bound has arrived (plus one per-rank refresh test for activates), and the
+// next event is the minimum bound.
 //
 //burstmem:chanlocal
 type Engine struct {
 	host    *Host
+	ch      *dram.Channel // host.Channel(), one load closer
 	banks   int
 	ongoing [][]*Access // [rank][bank]
 	occ     []uint64    // per-rank occupied-bank bitmaps
@@ -39,27 +39,26 @@ type Engine struct {
 	onColumn func(a *Access, now uint64)
 	scratch  []Candidate
 
-	// hints holds one cached (command, earliest-issue) pair per flattened
-	// bank; wheel mirrors every valid hint's issue cycle so the earliest
-	// one is a single PeekMin away. The mirror is maintained lazily:
-	// scheduling-path syncs only refresh hints (and mark the wheel
-	// stale), and NextEventCycle — the only wheel consumer — pushes
-	// changed deadlines right before peeking. Busy phases, where the
-	// skip hint is never consulted, thus pay nothing for the wheel.
-	hints      []bankHint
-	wheel      *eventq.Wheel
-	wheelStale bool
+	// hints holds one cached next transaction and issue bound per
+	// flattened bank (rank*banks+bank); only occupied banks' entries are
+	// meaningful.
+	hints []bankHint
 	// classes is the reused result of Unblocked (per-rank class masks).
 	classes BankClasses
-	// syncedVer/dirty short-circuit sync entirely: when the channel's
-	// global mutation counter has not advanced and no ongoing slot
-	// changed, every hint is still exact.
-	syncedVer uint64
-	dirty     bool
+	// stale marks ranks whose ongoing slots changed since the last sync;
+	// sync recomputes their hints along with the ranks the channel marked.
+	stale uint64
+	// rankMin is each rank's minimum issue bound (dram.NoEvent for an
+	// unoccupied rank), so sync refolds only the ranks it touched, and
+	// Unblocked skips ranks with nothing due. colMask marks each rank's
+	// occupied banks whose next command is a column access: the only
+	// bounds a data-bus move can change.
+	rankMin []uint64
+	colMask []uint64
 	// minFull is the minimum issue bound across occupied banks
-	// (dram.NoEvent when none), refreshed by every dirty sync. While it
-	// lies in the future no bank can issue, so Unblocked skips mask
-	// construction outright on such cycles.
+	// (dram.NoEvent when none), exact after every sync. While it lies in
+	// the future no bank can issue, so Unblocked skips mask construction
+	// outright, and NextEventCycle is max(minFull, now+1).
 	minFull uint64
 	// oldestRank/oldestBank/oldestOK cache OldestOngoing, invalidated
 	// whenever an ongoing slot changes (arrival stamps are immutable).
@@ -67,25 +66,37 @@ type Engine struct {
 	oldestBank  int
 	oldestOK    bool
 	oldestValid bool
-	shadow    engineShadow
+	shadow      engineShadow
 }
 
 // bankHint caches one occupied bank's next transaction and issue bound.
-// cmd and ready depend only on bank+rank state (guarded by bankVer/rankVer);
-// full folds in the data-bus availability term (guarded by busVer). All
-// three are absolute cycles, so a hint with matching versions is exact
-// regardless of how much time has passed.
+// ready depends only on the bank's rank state; full folds in the data-bus
+// term. Both are absolute cycles, so a hint is exact however much time has
+// passed until its rank is marked dirty (or, for full, the bus moves). row,
+// read and arrival copy the ongoing access's target row, kind and arrival
+// stamp at SetOngoing, so neither sync, the Unblocked walk nor
+// OldestOngoing dereferences the access.
 //
 //burstmem:chanlocal
 type bankHint struct {
 	cmd     dram.Cmd
+	row     uint32
+	read    bool   // the ongoing access is a read (its class-mask kind)
 	ready   uint64 // EarliestReady: bank+rank constraint bound
 	full    uint64 // max(ready, ColumnBusReady): the issue bound
-	wheeled uint64 // the deadline currently mirrored in the wheel
-	bankVer uint32
-	rankVer uint32
-	busVer  uint32
-	valid   bool
+	arrival uint64
+}
+
+// foldColumn sets a column command's issue bound from the rank's read and
+// write data-bus bounds.
+//
+//burstmem:hotpath
+func (h *bankHint) foldColumn(busRead, busWrite uint64) {
+	if h.cmd == dram.CmdRead {
+		h.full = maxU64(h.ready, busRead)
+	} else {
+		h.full = maxU64(h.ready, busWrite)
+	}
 }
 
 // BankClasses holds, per rank, masks of banks whose next transaction is
@@ -112,27 +123,27 @@ func (cl *BankClasses) Rank(r int) uint64 {
 
 // NewEngine builds an engine for the host's channel.
 func NewEngine(host *Host, onColumn func(a *Access, now uint64)) *Engine {
-	e := &Engine{host: host, onColumn: onColumn}
 	ch := host.Channel()
+	e := &Engine{host: host, ch: ch, onColumn: onColumn, minFull: dram.NoEvent}
 	e.banks = ch.Banks()
 	e.ongoing = make([][]*Access, ch.Ranks())
 	e.occ = make([]uint64, ch.Ranks())
 	for r := range e.ongoing {
 		e.ongoing[r] = make([]*Access, ch.Banks())
 	}
-	total := ch.Ranks() * ch.Banks()
-	e.hints = make([]bankHint, total)
-	for i := range e.hints {
-		e.hints[i].wheeled = eventq.NoDeadline
+	e.hints = make([]bankHint, ch.Ranks()*ch.Banks())
+	e.rankMin = make([]uint64, ch.Ranks())
+	e.colMask = make([]uint64, ch.Ranks())
+	for r := range e.rankMin {
+		e.rankMin[r] = dram.NoEvent
 	}
-	e.wheel = eventq.NewWheel(total)
 	e.classes = BankClasses{
 		ColRead:  make([]uint64, ch.Ranks()),
 		ColWrite: make([]uint64, ch.Ranks()),
 		RowRead:  make([]uint64, ch.Ranks()),
 		RowWrite: make([]uint64, ch.Ranks()),
 	}
-	e.dirty = true
+	host.engine = e
 	return e
 }
 
@@ -145,8 +156,9 @@ func (e *Engine) Ongoing(rank, bank int) *Access { return e.ongoing[rank][bank] 
 func (e *Engine) SetOngoing(rank, bank int, a *Access) {
 	e.ongoing[rank][bank] = a
 	e.occ[rank] |= 1 << uint(bank)
-	e.hints[rank*e.banks+bank].valid = false
-	e.dirty = true
+	e.stale |= 1 << uint(rank)
+	h := &e.hints[rank*e.banks+bank]
+	h.row, h.read, h.arrival = a.Loc.Row, a.Kind == KindRead, a.Arrival
 	e.oldestValid = false
 }
 
@@ -156,13 +168,7 @@ func (e *Engine) SetOngoing(rank, bank int, a *Access) {
 func (e *Engine) ClearOngoing(rank, bank int) {
 	e.ongoing[rank][bank] = nil
 	e.occ[rank] &^= 1 << uint(bank)
-	h := &e.hints[rank*e.banks+bank]
-	h.valid = false
-	if h.wheeled != eventq.NoDeadline {
-		e.wheel.Cancel(rank*e.banks + bank)
-		h.wheeled = eventq.NoDeadline
-	}
-	e.dirty = true
+	e.stale |= 1 << uint(rank)
 	e.oldestValid = false
 }
 
@@ -179,107 +185,75 @@ func (e *Engine) ForEachBank(f func(rank, bank int)) {
 	}
 }
 
-// sync revalidates the hint of every occupied bank. The global version
-// check makes the common case — nothing issued, nothing submitted — free;
-// otherwise only banks whose own counters moved recompute anything.
+// sync brings every occupied bank's hint and minFull up to date. Nothing
+// changed — no command issued, no refresh started, no ongoing slot moved —
+// is the common case and costs one call. Otherwise marked ranks recompute
+// their hints, and when the data bus moved the other ranks refold their
+// column bounds; only ranks so touched refold their minimum.
 //
 //burstmem:hotpath
 func (e *Engine) sync() {
-	ch := e.host.Channel()
-	sv := ch.StateVersion()
-	if !e.dirty && sv == e.syncedVer {
+	ch := e.ch
+	dirty, bus := ch.TakeDirty()
+	dirty |= e.stale
+	if dirty == 0 && !bus {
 		return
 	}
-	min := uint64(dram.NoEvent)
-	for r := range e.occ {
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			e.syncBank(ch, r, b)
-			if f := e.hints[r*e.banks+b].full; f < min {
-				min = f
+	e.stale = 0
+	min := dram.NoEvent
+	for r, occ := range e.occ {
+		recompute := dirty&(1<<uint(r)) != 0
+		if !recompute && (!bus || e.colMask[r] == 0) {
+			if m := e.rankMin[r]; m < min {
+				min = m
 			}
+			continue
+		}
+		hints := e.hints[r*e.banks : (r+1)*e.banks]
+		busRead, busWrite := ch.ColumnBusReady(dram.CmdRead, r), ch.ColumnBusReady(dram.CmdWrite, r)
+		if recompute {
+			var col uint64
+			for mask := occ; mask != 0; mask &= mask - 1 {
+				b := bits.TrailingZeros64(mask)
+				h := &hints[b]
+				t := dram.Target{Rank: r, Bank: b, Row: h.row}
+				h.cmd = ch.NextCommand(t, h.read)
+				h.ready = ch.EarliestReady(h.cmd, t)
+				h.full = h.ready
+				if h.cmd == dram.CmdRead || h.cmd == dram.CmdWrite {
+					h.foldColumn(busRead, busWrite)
+					col |= 1 << uint(b)
+				}
+			}
+			e.colMask[r] = col
+		} else {
+			for mask := e.colMask[r]; mask != 0; mask &= mask - 1 {
+				hints[bits.TrailingZeros64(mask)].foldColumn(busRead, busWrite)
+			}
+		}
+		rankMin := dram.NoEvent
+		for mask := occ; mask != 0; mask &= mask - 1 {
+			if f := hints[bits.TrailingZeros64(mask)].full; f < rankMin {
+				rankMin = f
+			}
+		}
+		e.rankMin[r] = rankMin
+		if rankMin < min {
+			min = rankMin
 		}
 	}
 	e.minFull = min
-	e.dirty = false
-	e.syncedVer = sv
-	e.wheelStale = true
 }
 
-// syncWheel mirrors every occupied bank's issue bound into the wheel.
-// Called only from NextEventCycle, right before the peek; a fully idle
-// machine runs this once and then short-circuits (sync no-ops, the wheel
-// is clean, the answer is a single PeekMin).
+// PrewarmRanks is the rank-sharded parallel mode's per-rank hook
+// (RankPrewarmer). It has nothing left to do: the dirty-rank marks it
+// would read are consumed by sync, and sync's per-rank work is a few
+// channel queries per marked rank, cheaper than a barrier round could
+// save. Kept as a no-op so rank mode stays selectable until the parallel
+// path is removed.
 //
 //burstmem:hotpath
-func (e *Engine) syncWheel() {
-	if !e.wheelStale {
-		return
-	}
-	for r := range e.occ {
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			flat := r*e.banks + b
-			if h := &e.hints[flat]; h.full != h.wheeled {
-				e.wheel.Schedule(flat, h.full)
-				h.wheeled = h.full
-			}
-		}
-	}
-	e.wheelStale = false
-}
-
-// syncBank refreshes one bank's hint and its wheel deadline.
-//
-//burstmem:hotpath
-func (e *Engine) syncBank(ch *dram.Channel, r, b int) {
-	flat := r*e.banks + b
-	h := &e.hints[flat]
-	bv, rv, xv := ch.BankVersion(r, b), ch.RankVersion(r), ch.BusVersion()
-	if h.valid && h.bankVer == bv && h.rankVer == rv {
-		if h.busVer != xv {
-			// Only the data bus moved: the command and the bank/rank
-			// constraint bound stand; fold in the new bus term.
-			h.busVer = xv
-			h.full = maxU64(h.ready, ch.ColumnBusReady(h.cmd, r))
-		}
-		return
-	}
-	a := e.ongoing[r][b]
-	h.cmd = ch.NextCommand(a.Target(), a.Kind == KindRead)
-	h.ready = ch.EarliestReady(h.cmd, a.Target())
-	h.full = maxU64(h.ready, ch.ColumnBusReady(h.cmd, r))
-	h.bankVer, h.rankVer, h.busVer = bv, rv, xv
-	h.valid = true
-}
-
-// PrewarmRanks refreshes the hint cache for the occupied banks of ranks
-// [lo, hi) without touching the engine's aggregate sync state (minFull,
-// dirty, syncedVer): the next sync() then finds those hints version-clean
-// and reduces to its aggregate fold. Writes are confined to the hint slots
-// of the given ranks and every channel query used is read-only, so
-// disjoint rank ranges are safe to refresh concurrently — the rank-sharded
-// parallel mode runs one PrewarmRanks per rank shard inside a barrier
-// round, before the channel ticks. Skipped entirely when no hint can be
-// stale (the same version guard sync() uses), so idle rounds cost two
-// compares.
-//
-//burstmem:hotpath
-func (e *Engine) PrewarmRanks(lo, hi int) {
-	ch := e.host.Channel()
-	if !e.dirty && ch.StateVersion() == e.syncedVer {
-		return
-	}
-	if hi > len(e.occ) {
-		hi = len(e.occ)
-	}
-	for r := lo; r < hi; r++ {
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			e.syncBank(ch, r, b)
-		}
-	}
-}
+func (e *Engine) PrewarmRanks(lo, hi int) {}
 
 // Candidate is a bank's next transaction, with its unblocked status this
 // cycle.
@@ -305,80 +279,93 @@ func (e *Engine) Candidates() []Candidate {
 }
 
 // collectCandidates fills dst with the per-bank next transactions, walking
-// the occupied bitmaps in (rank, bank) order. Commands come from the hint
-// cache; the full CanIssue re-check runs only for banks whose cached issue
-// bound has arrived (CanIssue implies the bound has passed, so the filter
-// loses nothing).
+// the occupied bitmaps in (rank, bank) order. Commands and readiness come
+// from the hint cache.
 //
 //burstmem:hotpath
 func (e *Engine) collectCandidates(dst []Candidate) []Candidate {
 	e.sync()
-	ch := e.host.Channel()
+	ch := e.ch
 	now := ch.Now()
+	free := ch.CommandSlotFree()
 	for r := range e.occ {
 		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
 			b := bits.TrailingZeros64(mask)
-			a := e.ongoing[r][b]
 			h := &e.hints[r*e.banks+b]
 			//lint:ignore hotalloc appends into the caller's scratch slice, whose capacity is retained
 			dst = append(dst, Candidate{
 				Rank:      r,
 				Bank:      b,
-				Access:    a,
+				Access:    e.ongoing[r][b],
 				Cmd:       h.cmd,
-				Unblocked: h.full <= now && ch.CanIssue(h.cmd, a.Target()),
+				Unblocked: free && e.issuable(h, r, now),
 			})
 		}
 	}
+	e.shadow.checkCandidates(e, dst)
 	return dst
 }
 
+// issuable reports whether rank r's hinted command can issue at now, given
+// a free command slot. With the slot free, CanIssue holds exactly when the
+// exact cached bound has arrived and, for an activate, the rank has no
+// refresh pending — the one blocking condition that starts with time
+// rather than with a state change. The invariants build cross-checks every
+// answer against CanIssue (see shadow_on.go).
+//
+//burstmem:hotpath
+func (e *Engine) issuable(h *bankHint, r int, now uint64) bool {
+	return h.full <= now && (h.cmd != dram.CmdActivate || !e.ch.RefreshPending(r))
+}
+
 // Unblocked classifies every occupied bank whose next transaction can issue
-// this cycle into the four Table 2 class masks, returning whether any bank
-// qualified. The masks are reused across calls and valid until the next
-// Unblocked or state change.
+// this cycle (see issuable) into the four Table 2 class masks, returning
+// whether any bank qualified. The masks are reused across calls and valid
+// until the next Unblocked or state change. The walk reads only the hint
+// array.
 //
 //burstmem:hotpath
 func (e *Engine) Unblocked(now uint64) (*BankClasses, bool) {
 	e.sync()
-	if e.minFull > now {
-		// Every issue bound lies in the future: no bank can qualify.
-		// The stale masks are never read on the !any return.
+	ch := e.ch
+	if e.minFull > now || !ch.CommandSlotFree() {
+		// Every issue bound lies in the future, or the refresh engine
+		// took the slot: no bank can qualify. The stale masks are never
+		// read on the !any return.
+		e.shadow.checkUnblocked(e, nil, false)
 		return &e.classes, false
 	}
-	ch := e.host.Channel()
 	cl := &e.classes
 	any := false
 	for r := range e.occ {
 		var colRead, colWrite, rowRead, rowWrite uint64
-		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
-			b := bits.TrailingZeros64(mask)
-			h := &e.hints[r*e.banks+b]
-			if h.full > now {
-				continue
+		if e.rankMin[r] <= now { // an unoccupied rank's minimum is NoEvent
+			hints := e.hints[r*e.banks : (r+1)*e.banks]
+			for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
+				b := bits.TrailingZeros64(mask)
+				h := &hints[b]
+				if !e.issuable(h, r, now) {
+					continue
+				}
+				col := h.cmd == dram.CmdRead || h.cmd == dram.CmdWrite
+				bit := uint64(1) << uint(b)
+				switch {
+				case col && h.read:
+					colRead |= bit
+				case col:
+					colWrite |= bit
+				case h.read:
+					rowRead |= bit
+				default:
+					rowWrite |= bit
+				}
+				any = true
 			}
-			a := e.ongoing[r][b]
-			if !ch.CanIssue(h.cmd, a.Target()) {
-				continue
-			}
-			bit := uint64(1) << uint(b)
-			col := h.cmd == dram.CmdRead || h.cmd == dram.CmdWrite
-			read := a.Kind == KindRead
-			switch {
-			case col && read:
-				colRead |= bit
-			case col:
-				colWrite |= bit
-			case read:
-				rowRead |= bit
-			default:
-				rowWrite |= bit
-			}
-			any = true
 		}
 		cl.ColRead[r], cl.ColWrite[r] = colRead, colWrite
 		cl.RowRead[r], cl.RowWrite[r] = rowRead, rowWrite
 	}
+	e.shadow.checkUnblocked(e, cl, any)
 	return cl, any
 }
 
@@ -403,12 +390,12 @@ func (e *Engine) OldestOngoing() (rank, bank int, ok bool) {
 	if e.oldestValid {
 		return e.oldestRank, e.oldestBank, e.oldestOK
 	}
-	var best *Access
+	var best uint64
 	for r := range e.occ {
+		hints := e.hints[r*e.banks : (r+1)*e.banks]
 		for mask := e.occ[r]; mask != 0; mask &= mask - 1 {
 			b := bits.TrailingZeros64(mask)
-			a := e.ongoing[r][b]
-			if best == nil || a.Arrival < best.Arrival {
+			if a := hints[b].arrival; !ok || a < best {
 				best, rank, bank, ok = a, r, b, true
 			}
 		}
@@ -424,22 +411,17 @@ func (e *Engine) OldestOngoing() (rank, bank int, ok bool) {
 // their idle-skip hint: with no submissions, completions or refreshes in
 // between, the channel state is frozen and nothing can happen earlier.
 //
-// The answer is one wheel peek after the version-guarded sync. The wheel
-// may under-estimate (its far bucket is a conservative lower bound); an
-// early hint only shortens a skip and cannot change simulation results.
-// Over-estimating would: the invariants build cross-checks every answer
-// against the linear scan (see shadow_on.go).
+// The answer is exact: minFull is the minimum cached issue bound, and
+// every bound equals the bank's EarliestIssue before its now+1 floor. The
+// invariants build cross-checks it against the linear scan (see
+// shadow_on.go).
 //
 //burstmem:hotpath
 func (e *Engine) NextEventCycle(now uint64) uint64 {
 	e.sync()
-	e.syncWheel()
-	if e.wheel.NeedRebase(now) {
-		e.wheel.Rebase(now)
-	}
 	next := dram.NoEvent
-	if at, ok := e.wheel.PeekMin(); ok {
-		next = maxU64(at, now+1)
+	if e.minFull != dram.NoEvent {
+		next = maxU64(e.minFull, now+1)
 	}
 	e.shadow.checkNextEvent(e, now, next)
 	return next
@@ -452,7 +434,7 @@ func (e *Engine) NextEventCycle(now uint64) uint64 {
 //
 //burstmem:hotpath
 func (e *Engine) Issue(c Candidate, now uint64) {
-	ch := e.host.Channel()
+	ch := e.ch
 	a := c.Access
 	e.host.StartAccess(a, now)
 	res := ch.Issue(c.Cmd, a.Target(), c.IsColumn() && e.host.AutoPrecharge())

@@ -149,3 +149,30 @@ func TestEngineOnColumnHook(t *testing.T) {
 		t.Fatalf("onColumn hook fired %d times", len(hook))
 	}
 }
+
+// TestEngineClearOngoingRefoldsNextEvent: vacating the bank that holds
+// the earliest issue bound must move NextEventCycle to the next bank's
+// bound, even though no channel state changed.
+func TestEngineClearOngoingRefoldsNextEvent(t *testing.T) {
+	c, m := newEngineHarness(t)
+	a, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 0, Bank: 0, Row: 2}), nil)
+	m.engine.SetOngoing(0, 0, a)
+	if _, any := m.engine.Unblocked(0); !any {
+		t.Fatal("closed bank's activate not unblocked")
+	}
+	m.engine.Issue(m.engine.CandidateAt(0, 0), 0) // activate; the read waits out tRCD
+	c.Tick(1)
+	b, _ := c.Submit(KindRead, c.Mapper().Encode(addrmap.Loc{Rank: 1, Bank: 1, Row: 2}), nil)
+	m.engine.SetOngoing(1, 1, b)
+	if next := m.engine.NextEventCycle(1); next != 2 {
+		t.Fatalf("next event %d, want 2 (rank 1's activate)", next)
+	}
+	m.engine.ClearOngoing(1, 1)
+	want := c.channels[0].EarliestIssue(dram.CmdRead, a.Target())
+	if want <= 2 {
+		t.Fatalf("read bound %d, want one past tRCD", want)
+	}
+	if next := m.engine.NextEventCycle(1); next != want {
+		t.Fatalf("next event after ClearOngoing %d, want the read's bound %d", next, want)
+	}
+}

@@ -63,8 +63,9 @@ type parRun struct {
 // parallelism on single-channel configurations: PrewarmRanks(lo, hi)
 // refreshes any per-bank scheduling caches for ranks [lo, hi) without
 // touching state outside that rank range, so disjoint ranges are safe to
-// run concurrently. Engine.PrewarmRanks is the canonical implementation;
-// mechanisms built on the engine just delegate.
+// run concurrently. Mechanisms built on the engine delegate to
+// Engine.PrewarmRanks, which has nothing left to do since the engine's
+// bounds became exact (its dirty marks are consumed serially by sync).
 type RankPrewarmer interface {
 	PrewarmRanks(lo, hi int)
 }

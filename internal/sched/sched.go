@@ -388,27 +388,33 @@ func (s *intel) Tick(now uint64) {
 	// Transaction selection: started accesses first (oldest first), then
 	// unstarted (oldest first). No bus-timing awareness — the "best
 	// effort" behaviour the paper contrasts with Table 2.
-	cands := s.engine.Candidates()
-	best := -1
-	for i, c := range cands {
-		if !c.Unblocked {
-			continue
-		}
-		if best < 0 || betterIntel(c, cands[best]) {
-			best = i
+	cl, any := s.engine.Unblocked(now)
+	if !any {
+		return
+	}
+	bestR, bestB := -1, -1
+	var best *memctrl.Access
+	for r := 0; r < s.ranks; r++ {
+		for m := cl.Rank(r); m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if a := s.engine.Ongoing(r, b); best == nil || betterIntel(a, best) {
+				best, bestR, bestB = a, r, b
+			}
 		}
 	}
-	if best >= 0 {
-		s.engine.Issue(cands[best], now)
-	}
+	s.engine.Issue(s.engine.CandidateAt(bestR, bestB), now)
 }
 
+// betterIntel reports whether access a beats b in Intel's transaction
+// order: started before unstarted, then older first (ties go to the bank
+// visited first, the lowest rank and bank).
+//
 //burstmem:hotpath
-func betterIntel(a, b memctrl.Candidate) bool {
-	if a.Access.Started() != b.Access.Started() {
-		return a.Access.Started()
+func betterIntel(a, b *memctrl.Access) bool {
+	if a.Started() != b.Started() {
+		return a.Started()
 	}
-	return a.Access.Arrival < b.Access.Arrival
+	return a.Arrival < b.Arrival
 }
 
 // arbitrateVacant picks the bank's next ongoing access when no access is

@@ -20,7 +20,6 @@ import (
 	"burstmem/internal/core"
 	"burstmem/internal/cpu"
 	"burstmem/internal/dram"
-	"burstmem/internal/eventq"
 	"burstmem/internal/memctrl"
 	"burstmem/internal/sched"
 	"burstmem/internal/stats"
@@ -179,14 +178,6 @@ type System struct {
 	// (reference mode for equivalence testing).
 	DisableSkip bool
 
-	// skipWheel aggregates the machine's next-event sources — the memory
-	// controller (mechanism timers, refresh, completions) and the FSB —
-	// into one event wheel, so TrySkip's bound is a single PeekMin. The
-	// wheel's far-bucket answer is a conservative lower bound: a skip can
-	// only come up short, never jump an event, and the next iteration
-	// resumes skipping from the landing cycle.
-	skipWheel *eventq.Wheel
-
 	// memCycle is the machine clock, advanced only by the coordinating
 	// goroutine between barrier rounds (StepMemCycle / TrySkip /
 	// tryWindow); shards never touch it.
@@ -196,23 +187,11 @@ type System struct {
 	measureStart uint64 // memCycle when the measurement window opened
 }
 
-// skipWheel handles: one per machine-level next-event source.
-const (
-	skipSrcCtrl = iota
-	skipSrcFSB
-	numSkipSrcs
-)
-
 // minWindowCycles is the shortest span tryWindow batches into a TickWindow
 // call. Below this a window saves no barrier rounds over per-cycle ticking
 // (a 1-cycle window is one round either way), so short spans stay on the
 // plain path and windows only open where they amortize.
 const minWindowCycles = 4
-
-// TrySkip passes controller/FSB hints straight into Wheel.Schedule, which
-// treats NoDeadline as "unschedule"; the sentinels must therefore agree
-// (compile error here if they ever drift).
-var _ = [1]struct{}{}[memctrl.NoEvent-eventq.NoDeadline]
 
 // NewSystem builds the machine for one benchmark profile and mechanism.
 func NewSystem(cfg Config, prof workload.Profile, factory memctrl.Factory) (*System, error) {
@@ -267,8 +246,7 @@ func newSystem(cfg Config, gens []workload.Generator, factory memctrl.Factory) (
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{Cfg: cfg, L2: l2, FSB: fsb, Ctrl: ctrl,
-		skipWheel: eventq.NewWheel(numSkipSrcs)}
+	sys := &System{Cfg: cfg, L2: l2, FSB: fsb, Ctrl: ctrl}
 	for _, gen := range gens {
 		l1d, err := cache.New(cfg.L1D, l2.AsBackend())
 		if err != nil {
@@ -377,16 +355,14 @@ func (s *System) TrySkip() uint64 {
 			return 0
 		}
 	}
-	// Memory-domain components bound the next state transition. Each
-	// source's bound lands in the wheel (NoEvent == eventq.NoDeadline
-	// unschedules it) and one peek yields the machine-wide minimum.
-	if s.skipWheel.NeedRebase(s.memCycle) {
-		s.skipWheel.Rebase(s.memCycle)
+	// Memory-domain components bound the next state transition; the
+	// earlier of the two bounds is the machine's (both use NoEvent for
+	// "nothing scheduled").
+	next := s.Ctrl.NextEventCycle(s.memCycle)
+	if fsbNext := s.FSB.NextEventCycle(s.memCycle); fsbNext < next {
+		next = fsbNext
 	}
-	s.skipWheel.Schedule(skipSrcCtrl, s.Ctrl.NextEventCycle(s.memCycle))
-	s.skipWheel.Schedule(skipSrcFSB, s.FSB.NextEventCycle(s.memCycle))
-	next, ok := s.skipWheel.PeekMin()
-	if !ok || next <= s.memCycle+1 {
+	if next == memctrl.NoEvent || next <= s.memCycle+1 {
 		return s.tryWindow()
 	}
 	// Land one cycle before the event so the event cycle itself is
@@ -625,19 +601,22 @@ func maxU64(a, b uint64) uint64 {
 }
 
 // MechanismNames lists the mechanisms of paper Table 4 in its order.
-// "Burst_TH" uses the paper's best static threshold of 52.
+// "Burst_TH" uses the paper's best static threshold, 52 of the default
+// 64-entry write queue.
 func MechanismNames() []string {
 	return []string{"BkInOrder", "RowHit", "Intel", "Intel_RP", "Burst", "Burst_RP", "Burst_WP", "Burst_TH"}
 }
 
 // BestThreshold is the paper's experimentally determined optimum (of a
-// 64-entry write queue).
-const BestThreshold = 52
+// 64-entry write queue; "Burst_TH" scales it to the configured queue).
+const BestThreshold = core.PaperThreshold
 
 // MechanismByName resolves a Table 4 mechanism name to its factory.
-// "Burst_TH" takes the paper's default threshold 52; "Burst_TH<n>" selects
-// threshold n, which must lie in [0, MaxWrites] of the default 64-entry
-// write queue (a larger pivot could never be reached).
+// "Burst_TH" takes the paper's default threshold (52 of a 64-entry write
+// queue, scaled to the configured one; "Burst_SZ" uses the same);
+// "Burst_TH<n>" selects threshold n, which must lie in [0, MaxWrites] of
+// the default 64-entry write queue (a larger pivot could never be
+// reached). memctrl.New checks n against the configured queue.
 func MechanismByName(name string) (memctrl.Factory, error) {
 	switch name {
 	case "BkInOrder":
@@ -663,7 +642,7 @@ func MechanismByName(name string) (memctrl.Factory, error) {
 	case "Burst_SZ":
 		return core.BurstSized(), nil
 	case "Burst_TH":
-		return core.BurstTH(BestThreshold), nil
+		return core.BurstTHPaper(), nil
 	}
 	if rest, ok := strings.CutPrefix(name, "Burst_TH"); ok {
 		th, err := strconv.Atoi(rest)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"burstmem/internal/memctrl"
 	"burstmem/internal/workload"
 )
 
@@ -72,6 +73,34 @@ func TestMechanismByName(t *testing.T) {
 	}
 	if _, err := MechanismByName("FRFCFS"); err == nil {
 		t.Error("unknown mechanism accepted")
+	}
+}
+
+// TestThresholdCheckedAgainstConfiguredQueue: a Burst_TH<n> name that fits
+// the default queue is still rejected when the controller's own write
+// queue is smaller, while Burst_RP (threshold = MaxWrites) and the bare
+// Burst_TH (the paper threshold, scaled) are accepted.
+func TestThresholdCheckedAgainstConfiguredQueue(t *testing.T) {
+	cfg := memctrl.DefaultConfig()
+	cfg.MaxWrites = 32
+	for _, tc := range []struct{ mech, err string }{
+		{"Burst_TH52", "memctrl: Burst_TH52 write threshold 52 outside the write queue [0, MaxWrites 32]"},
+		{"Burst_TH33", "Burst_TH33 write threshold 33 outside"},
+		{"Burst_TH32", ""},
+		{"Burst_RP", ""},
+		{"Burst_TH", ""},
+	} {
+		factory, err := MechanismByName(tc.mech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = memctrl.New(cfg, factory)
+		if tc.err == "" && err != nil {
+			t.Errorf("%s rejected on a 32-entry queue: %v", tc.mech, err)
+		}
+		if tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%s on a 32-entry queue: got %v, want an error containing %q", tc.mech, err, tc.err)
+		}
 	}
 }
 

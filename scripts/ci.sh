@@ -4,6 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== gofmt =="
+# Any file gofmt would rewrite fails the gate (analyzer testdata excluded:
+# some of it is unformatted on purpose).
+unformatted=$(gofmt -l . | grep -v '/testdata/' || true)
+if [ -n "$unformatted" ]; then
+    echo "gofmt would reformat:"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
@@ -40,14 +50,19 @@ go test -race ./...
 echo "== go test -tags invariants (protocol sanitizer armed) =="
 go test -tags invariants ./internal/mctest/ ./internal/sim/ ./internal/dram/ ./internal/memctrl/ ./internal/cpu/
 
-echo "== eventq gate (differential fuzz seed corpus + event-wheel shadow check) =="
-# The fuzz seeds replay the recorded operation sequences against the naive
-# reference queue; the invariants build then cross-checks the engine's
-# wheel-predicted next-event cycle against the linear scan on a live
-# simulation (an over-estimate would let an idle skip jump a real event).
-go test -count=1 -run 'FuzzQueueDifferential|TestQueueDifferential|TestWheel' ./internal/eventq/
-go test -count=1 -tags invariants -run 'TestEngineShadow' ./internal/memctrl/
+echo "== engine-bounds gate (cached-bound differential + shadow checks, eventq fuzz seeds) =="
+# The controller engine answers "which banks can issue now" and "when is
+# the next event" from cached issue bounds. The differential test compares
+# both answers with CanIssue/EarliestIssue on every cycle of random traffic
+# under every Table 4 mechanism; the invariants build arms the same
+# comparison inside the engine (next event must equal the linear scan,
+# readiness must equal CanIssue) on a live skipping simulation, and the
+# trigger tests prove those checks fire. The eventq fuzz seeds replay the
+# recorded operation sequences against the naive reference queue.
+go test -count=1 -run 'TestEngineQueriesDifferential|TestEngineClearOngoing' ./internal/memctrl/
+go test -count=1 -tags invariants -run 'TestEngineShadow|TestEngineQueriesDifferential' ./internal/memctrl/
 go test -count=1 -tags invariants -run 'TestTraceSkipEquivalence' ./internal/sim/
+go test -count=1 -run 'FuzzQueueDifferential|TestQueueDifferential|TestWheel' ./internal/eventq/
 
 echo "== parallel-sim gate (differential equivalence + barrier fuzz seeds under -race, then a -count=2 determinism rerun) =="
 # The full -race stage above already covers these packages once; this stage
