@@ -418,77 +418,6 @@ func BenchmarkSimThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSim measures the channel-shard worker pool: the same
-// full-machine simulation as BenchmarkSimThroughput, but on a four-channel
-// machine at worker counts 1 (serial dispatch path), 2 and 4, reporting
-// simulated memory cycles per wall-clock second for each. Every worker
-// count produces bit-identical results (the differential suite in
-// internal/sim proves it), so the only thing that varies here is wall
-// clock; scripts/bench.sh records the simcycles/s, bytes/allocs per op and
-// the 4-worker/serial scaling-efficiency ratio in BENCH_sim.json. On a
-// single-CPU host the ratio measures pure barrier overhead (expect < 1);
-// speedup needs real cores. barrier_crossings_per_kcycle is how many pool
-// barrier rounds the run cost per thousand simulated memory cycles (0 on
-// the serial dispatch path) — the skip-window batching drives it far below
-// the one-per-cycle baseline of 1000.
-func BenchmarkParallelSim(b *testing.B) {
-	for _, tc := range []struct{ bench, mech string }{
-		{"swim", "Burst_TH"},
-		// apsi is the skip-heavy contrast case: at 6% memory intensity
-		// the front end sleeps through long miss-service stretches, so
-		// the batched (skip + TickWindow) cycles dominate and the
-		// idle-phase crossing rate shows the per-window barrier win.
-		{"apsi", "Burst_TH"},
-	} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/%s/workers%d", tc.bench, tc.mech, workers), func(b *testing.B) {
-				prof, err := workload.ByName(tc.bench)
-				if err != nil {
-					b.Fatal(err)
-				}
-				factory, err := sim.MechanismByName(tc.mech)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := benchConfig()
-				cfg.Mem.Geometry.Channels = 4
-				cfg.Mem.Geometry.Ranks = 2
-				cfg.Workers = workers
-				var simulated, rounds uint64
-				var windows, windowCycles, skipCycles uint64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys, err := sim.NewSystem(cfg, prof, factory)
-					if err != nil {
-						b.Fatal(err)
-					}
-					target := cfg.WarmupInstructions + cfg.Instructions
-					for sys.MinRetired() < target {
-						sys.FastForward()
-					}
-					simulated += sys.MemCycle()
-					rounds += sys.Ctrl.BarrierRounds()
-					w, wc, sc := sys.Ctrl.WindowStats()
-					windows += w
-					windowCycles += wc
-					skipCycles += sc
-					sys.Close()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(simulated)/b.Elapsed().Seconds(), "simcycles/s")
-				b.ReportMetric(float64(rounds)/(float64(simulated)/1000), "barrier_crossings_per_kcycle")
-				// Crossings per kcycle restricted to the skip-heavy
-				// (batched) phases: per-cycle barriers would cost 1000
-				// here; windows+skips must get it at least 10x lower.
-				if batched := windowCycles + skipCycles; batched > 0 {
-					b.ReportMetric(float64(windows)/(float64(batched)/1000), "idle_crossings_per_kcycle")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkControllerThroughput is a microbenchmark of the controller fast
 // path: cycles simulated per second under saturation (useful when
 // optimizing the simulator itself).

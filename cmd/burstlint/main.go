@@ -15,23 +15,19 @@
 //	errflow      error values dropped before reaching a check
 //	idxrange     DRAM coordinates indexing mismatched-dimension containers
 //	lockcheck    Lock without matching Unlock on some path to return
-//	sharestate   hot-path-reachable state must carry ownership annotations
 //	detflow      nondeterminism reached through out-of-scope callees
 //	goroutcheck  loop capture, WaitGroup balance, unguarded shared writes
 //	leakcheck    resources released on every path; no exit past a pending defer
-//	ctxflow      contexts flow caller to callee; CancelFuncs always run
-//	chanflow     channel send/recv/close protocol over the points-to solution
 //
 // nilcheck/errflow/idxrange/lockcheck run a worklist dataflow solver over
 // per-function control flow graphs (internal/analysis/cfg,
 // internal/analysis/dataflow); detlint/hotalloc/exhaustive are single-pass
 // AST walks. The rest are the interprocedural tier: they run once over
 // the whole loaded program on top of a CHA call graph
-// (internal/analysis/callgraph), per-function effect summaries
-// (internal/analysis/summary), and — for sharestate's ownership audit and
-// chanflow — an Andersen points-to solution (internal/analysis/pointsto),
-// each built once and shared through the program's result cache —
-// `-timing` prints how long those shared builds took.
+// (internal/analysis/callgraph) and per-function effect summaries
+// (internal/analysis/summary), each built once and shared through the
+// program's result cache — `-timing` prints how long those shared builds
+// took.
 //
 // Output is one diagnostic per line, `file:line:col: analyzer: message`,
 // sorted by file, line, then analyzer name; paths are shown relative to
@@ -57,8 +53,6 @@ import (
 	"strings"
 
 	"burstmem/internal/analysis"
-	"burstmem/internal/analysis/chanflow"
-	"burstmem/internal/analysis/ctxflow"
 	"burstmem/internal/analysis/detflow"
 	"burstmem/internal/analysis/detlint"
 	"burstmem/internal/analysis/errflow"
@@ -69,7 +63,6 @@ import (
 	"burstmem/internal/analysis/leakcheck"
 	"burstmem/internal/analysis/lockcheck"
 	"burstmem/internal/analysis/nilcheck"
-	"burstmem/internal/analysis/sharestate"
 )
 
 // analyzers is the full suite, in registration order (output order is by
@@ -82,12 +75,9 @@ var analyzers = []*analysis.Analyzer{
 	errflow.Analyzer,
 	idxrange.Analyzer,
 	lockcheck.Analyzer,
-	sharestate.Analyzer,
 	detflow.Analyzer,
 	goroutcheck.Analyzer,
 	leakcheck.Analyzer,
-	ctxflow.Analyzer,
-	chanflow.Analyzer,
 }
 
 func main() {
@@ -99,10 +89,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("burstlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	timing := fs.Bool("timing", false, "print interprocedural build times (callgraph, summary, pointsto) to stderr")
+	timing := fs.Bool("timing", false, "print interprocedural build times (callgraph, summary) to stderr")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array of {file, line, col, analyzer, message, chain} objects")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: burstlint [-timing] [-json] [packages]\n\nruns the burstmem analyzers (detlint, hotalloc, exhaustive, nilcheck,\nerrflow, idxrange, lockcheck, sharestate, detflow, goroutcheck,\nleakcheck, ctxflow, chanflow) over the package patterns (default ./...)\n")
+		fmt.Fprintf(stderr, "usage: burstlint [-timing] [-json] [packages]\n\nruns the burstmem analyzers (detlint, hotalloc, exhaustive, nilcheck,\nerrflow, idxrange, lockcheck, detflow, goroutcheck, leakcheck) over the\npackage patterns (default ./...)\n")
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2

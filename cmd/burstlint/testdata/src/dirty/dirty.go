@@ -4,7 +4,6 @@
 package dirty
 
 import (
-	"context"
 	"os"
 	"sync"
 	"time"
@@ -65,21 +64,6 @@ func forgottenTicker(s *state) {
 		return
 	}
 	t.Stop()
-}
-
-// rootedCtx mints a root context in library code instead of accepting
-// one from the caller (ctxflow).
-func rootedCtx() context.Context {
-	return context.Background()
-}
-
-// deadSends makes a channel nothing ever receives from: once the buffer
-// fills, every send blocks forever (chanflow).
-func deadSends(n int) {
-	ch := make(chan int, 1)
-	for i := 0; i < n; i++ {
-		ch <- i
-	}
 }
 
 // exitPastDefer calls os.Exit while a cleanup is still deferred; the

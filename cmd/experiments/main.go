@@ -43,7 +43,6 @@ var (
 	flagN        = flag.Uint64("n", 300_000, "measured instructions per run")
 	flagWarmup   = flag.Uint64("warmup", 300_000, "warmup instructions per run")
 	flagParallel = flag.Int("parallel", runtime.NumCPU(), "concurrent simulations")
-	flagWorkers  = flag.Int("workers", 0, "parallel workers per simulation (0 or 1 = serial; results are bit-identical at any setting). Multi-channel configs shard by channel with the count clamped to the channel count; single-channel configs with >= 2 ranks shard scheduler prewarming by rank instead")
 	flagBench    = flag.String("bench", "", "comma-separated benchmark subset (default: all 16)")
 	flagCSV      = flag.String("csv", "", "directory to also write each experiment's tables as CSV")
 	flagCPUProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -99,7 +98,6 @@ func simConfig() sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Instructions = *flagN
 	cfg.WarmupInstructions = *flagWarmup
-	cfg.Workers = *flagWorkers
 	return cfg
 }
 

@@ -31,7 +31,7 @@ import (
 // Analyzer describes one static check. Exactly one of Run and RunProgram
 // is set: Run analyzers see one package at a time, RunProgram analyzers
 // see the whole loaded program at once (the interprocedural tier —
-// callgraph-backed passes like sharestate and detflow need every function
+// callgraph-backed passes like detflow and goroutcheck need every function
 // body before they can say anything about any of them).
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //lint:ignore
@@ -122,8 +122,8 @@ func NewProgram(pkgs []*Package) *Program {
 
 // Cached returns the value under key, invoking build at most once per
 // Program. This is the summary-cache: callgraph + summary construction is
-// the expensive half of the interprocedural tier, and sharestate, detflow
-// and goroutcheck all read the same build through this choke point.
+// the expensive half of the interprocedural tier, and detflow, goroutcheck
+// and leakcheck all read the same build through this choke point.
 func (p *Program) Cached(key string, build func() any) any {
 	if v, ok := p.cache[key]; ok {
 		return v

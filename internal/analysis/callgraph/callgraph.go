@@ -14,7 +14,7 @@
 //     signature, and whose method set covers the whole interface. This
 //     over-approximates (any implementor anywhere counts, whether or not a
 //     value of that type can flow to the call site), which is the safe
-//     direction for the ownership and determinism gates built on top.
+//     direction for the determinism and concurrency checks built on top.
 //   - Generic calls resolve to the generic declaration (types.Func.Origin);
 //     one summary of the generic body stands for every instantiation, and
 //     the loader's Instances map is consulted so an instantiated identifier
@@ -23,8 +23,7 @@
 //     become Dynamic edges.
 //   - Calls through function values (variables, fields, parameters) cannot
 //     be resolved by CHA and produce a calleeless Dynamic edge; effect
-//     summaries treat such a call as "may do anything we cannot see" and
-//     the sharestate gate refuses them on the hot path.
+//     summaries treat such a call as "may do anything we cannot see".
 //   - A function literal that is not called where it is written gets a Lit
 //     edge from its enclosing function: defining a closure is conservatively
 //     treated as running it, so its effects surface in the encloser's

@@ -55,7 +55,7 @@ func run(pass *analysis.ProgramPass) {
 		}
 		for _, e := range fn.Out {
 			if e.Callee == nil || e.Callee.Body() == nil {
-				// Dynamic calls are sharestate's problem; external callees
+				// Dynamic calls are beyond CHA's reach; external callees
 				// (time.Now itself, rand.Intn itself) are detlint's.
 				continue
 			}

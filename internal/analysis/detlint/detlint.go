@@ -15,21 +15,8 @@
 //     scheduler interleaving is nondeterministic.
 //
 // The check applies to the simulation packages (internal/{core, memctrl,
-// dram, sched, sim, bus, cache, cpu}); cmd/ front-ends may parallelize runs
-// and time themselves freely.
-//
-// The goroutine ban has a scoped escape hatch for the parallel-sim work:
-//
-//	//detlint:allow goroutine <reason>
-//
-// on the `go` statement's line (or the line above) exempts that one spawn.
-// The reason is mandatory — a bare directive exempts nothing, and the spawn
-// diagnostic says so — and the exemption covers goroutines only; map
-// iteration, wall clocks and global rand stay banned unconditionally
-// because no parallelization scheme makes them deterministic, so a
-// directive naming anything else is inert. (goroutcheck still applies to
-// exempted spawns: the loop-capture, WaitGroup-balance and unguarded-write
-// checks are what make an allowed goroutine safe.)
+// dram, sched, sim, bus, cache, cpu, trace}); cmd/ front-ends may
+// parallelize runs and time themselves freely.
 package detlint
 
 import (
@@ -54,7 +41,7 @@ var Analyzer = &analysis.Analyzer{
 var SimPackages = []string{
 	"internal/core", "internal/memctrl", "internal/dram", "internal/sched",
 	"internal/sim", "internal/bus", "internal/cache", "internal/cpu",
-	"internal/trace", "internal/parsim",
+	"internal/trace",
 }
 
 // InSimScope reports whether the package is simulation logic.
@@ -67,49 +54,11 @@ func InSimScope(path string) bool {
 	return false
 }
 
-// allowDirective is the scoped goroutine exemption prefix.
-const allowDirective = "//detlint:allow "
-
-// allowState distinguishes a reasoned exemption from a bare one.
-type allowState uint8
-
-const (
-	allowValid allowState = iota + 1 // goroutine + reason: exempts
-	allowBare                        // goroutine, no reason: exempts nothing
-)
-
-// goroutineAllows scans a file for goroutine exemptions, returning the
-// state per directive line. Directives naming anything other than
-// "goroutine" are inert: only the spawn ban has an escape hatch.
-func goroutineAllows(pass *analysis.Pass, file *ast.File) map[int]allowState {
-	allowed := map[int]allowState{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			text, ok := strings.CutPrefix(c.Text, allowDirective)
-			if !ok {
-				continue
-			}
-			fields := strings.Fields(text)
-			if len(fields) == 0 || fields[0] != "goroutine" {
-				continue
-			}
-			line := pass.Fset.Position(c.Pos()).Line
-			if len(fields) < 2 {
-				allowed[line] = allowBare
-			} else {
-				allowed[line] = allowValid
-			}
-		}
-	}
-	return allowed
-}
-
 func run(pass *analysis.Pass) {
 	if !InSimScope(pass.Pkg.Path()) {
 		return
 	}
 	for _, file := range pass.Files {
-		allowed := goroutineAllows(pass, file)
 		for _, imp := range file.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -128,15 +77,7 @@ func run(pass *analysis.Pass) {
 					}
 				}
 			case *ast.GoStmt:
-				line := pass.Fset.Position(n.Pos()).Line
-				switch max(allowed[line], allowed[line-1]) {
-				case allowValid:
-					// exempted
-				case allowBare:
-					pass.Reportf(n.Pos(), "detlint:allow goroutine requires a reason; the bare directive exempts nothing")
-				default:
-					pass.Reportf(n.Pos(), "goroutine spawn in simulation logic: the cycle loop must stay single-threaded (exempt with //detlint:allow goroutine <reason>)")
-				}
+				pass.Reportf(n.Pos(), "goroutine spawn in simulation logic: the cycle loop must stay single-threaded")
 			case *ast.SelectorExpr:
 				if obj := wallClockFunc(pass, n); obj != "" {
 					pass.Reportf(n.Pos(), "call of time.%s: simulation state must depend on simulated cycles, not wall-clock time", obj)

@@ -54,32 +54,6 @@ func spawn(f func()) {
 	go f() // want `goroutine spawn in simulation logic`
 }
 
-// spawnAllowed carries a reasoned exemption: not flagged.
-func spawnAllowed(f func()) {
-	//detlint:allow goroutine per-channel worker joins before state is read
-	go f()
-}
-
-// spawnAllowedSameLine puts the directive on the statement itself.
-func spawnAllowedSameLine(f func()) {
-	go f() //detlint:allow goroutine drained via the channel barrier below
-}
-
-// spawnBareAllow has no reason: the directive exempts nothing and the
-// spawn diagnostic says why.
-func spawnBareAllow(f func()) {
-	//detlint:allow goroutine
-	go f() // want `detlint:allow goroutine requires a reason`
-}
-
-// spawnWrongScope tries to exempt something other than a goroutine: the
-// directive is inert and the ban stands.
-func spawnWrongScope(m map[int]int) {
-	//detlint:allow maprange order does not matter here
-	for range m { // want `range over map m`
-	}
-}
-
 // roll uses the global math/rand stream (the import is already flagged).
 func roll() int {
 	return rand.Intn(6)

@@ -23,8 +23,7 @@
 // function — fields of a non-pointer local reached without crossing a
 // pointer, slice or map — are not effects. Writes into the elements of a
 // local slice/map variable are a known blind spot (the backing store may
-// alias anything); the sharestate gate closes it by refusing unresolved
-// dynamic calls on the hot path rather than by tracking aliases.
+// alias anything).
 //
 // External callees (export data only — the stdlib) are assumed effect-free
 // except for the explicit nondeterminism table: time.Now/Since/Until and
@@ -145,7 +144,7 @@ type Set struct {
 }
 
 // Of returns the program's summaries, computing them once per Program
-// (the summary-cache: sharestate, detflow and goroutcheck all share this
+// (the summary-cache: detflow, goroutcheck and leakcheck all share this
 // build, which also keeps burstlint's wall time flat as analyzers stack).
 func Of(prog *analysis.Program) *Set {
 	return prog.Cached("summary", func() any {

@@ -224,9 +224,6 @@ type deferred struct {
 // delay the queue stays sorted, so a FIFO suffices.
 func (c *Cache) deferResponse(fn func()) {
 	if c.cfg.LatencyCycles == 0 {
-		// The callbacks are closures built by this cache's own core; the
-		// cache and everything they touch stay on one shard.
-		//lint:ignore sharestate zero-latency fast path invokes the shard-confined completion callback directly
 		fn()
 		return
 	}

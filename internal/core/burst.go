@@ -26,8 +26,6 @@ import (
 )
 
 // Options selects a burst scheduling variant.
-//
-//burstmem:chanlocal
 type Options struct {
 	// ReadPreemption lets newly arrived reads interrupt an ongoing write
 	// whose column transaction has not issued yet (the write restarts
@@ -157,8 +155,6 @@ func BurstTH(threshold int) memctrl.Factory {
 // after the first are guaranteed row hits. Groups are pooled on the
 // scheduler's free list, and the reads ride an intrusive list, so burst
 // formation allocates nothing in steady state.
-//
-//burstmem:chanlocal
 type burstGroup struct {
 	row     uint32
 	arrival uint64 // arrival of the first access, for inter-burst ordering
@@ -167,8 +163,6 @@ type burstGroup struct {
 
 // bankState holds one bank's burst queue and piggyback context (writes
 // live in the scheduler-wide memctrl.BankQueues).
-//
-//burstmem:chanlocal
 type bankState struct {
 	bursts []*burstGroup // FIFO by first-access arrival
 
@@ -198,8 +192,6 @@ type bankState struct {
 }
 
 // burstSched is the mechanism instance for one channel.
-//
-//burstmem:chanlocal
 type burstSched struct {
 	name   string
 	opt    Options
@@ -237,8 +229,6 @@ type burstSched struct {
 }
 
 // BurstStats counts scheduling events specific to burst scheduling.
-//
-//burstmem:chanlocal
 type BurstStats struct {
 	BurstsFormed      uint64
 	ReadsJoinedBursts uint64 // reads appended to an existing burst
@@ -403,13 +393,6 @@ func (s *burstSched) NextEventCycle(now uint64) uint64 {
 	}
 	return next
 }
-
-// PrewarmRanks implements memctrl.RankPrewarmer: burst scheduling keeps no
-// per-bank caches of its own beyond the engine's hint cache, so rank-shard
-// prewarming delegates straight to it.
-//
-//burstmem:hotpath
-func (s *burstSched) PrewarmRanks(lo, hi int) { s.engine.PrewarmRanks(lo, hi) }
 
 // arbitrateVacant is the bank arbiter subroutine (paper Fig. 5) for a bank
 // with no ongoing access.

@@ -70,8 +70,6 @@ func (o RowOutcome) String() string {
 }
 
 // bank holds per-bank state and earliest-issue constraints.
-//
-//burstmem:chanlocal
 type bank struct {
 	open bool
 	row  uint32
@@ -84,8 +82,6 @@ type bank struct {
 
 // rank holds per-rank state: activate pacing, write-to-read turnaround and
 // the refresh engine.
-//
-//burstmem:chanlocal
 type rank struct {
 	banks []bank
 
@@ -105,8 +101,6 @@ type rank struct {
 }
 
 // Stats accumulates channel activity for utilization reporting.
-//
-//burstmem:chanlocal
 type Stats struct {
 	Commands      uint64 // address/command bus busy cycles
 	DataBusCycles uint64 // data bus busy cycles
@@ -123,8 +117,6 @@ type Stats struct {
 
 // Channel models one independent memory channel: a command/address bus, a
 // shared data bus and a set of ranks each with internal banks.
-//
-//burstmem:chanlocal
 type Channel struct {
 	T     Timing
 	Stats Stats

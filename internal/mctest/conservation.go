@@ -23,10 +23,10 @@ import (
 //     per-channel device statistics sum to the stream's command counts.
 //
 // The controller must be drained and its stats must cover the whole traced
-// run (no ResetStats in between). The oracle applies unchanged to streams
-// merged from parallel channel-shard execution (Controller.SetWorkers):
-// the merge must preserve all of the above, so a green check on a parallel
-// run certifies the merged stream, not just the serial one.
+// run (no ResetStats in between). The per-channel checks catch an access
+// credited to the wrong channel or a channel's occupancy drifting even
+// when the global totals still balance, and the oracle applies to any way
+// of driving the controller (per-cycle Tick, skips, TickWindow batches).
 func CheckConservation(tr *trace.Tracer, ctrl *memctrl.Controller) error {
 	if tr == nil {
 		return fmt.Errorf("conservation: no tracer attached")

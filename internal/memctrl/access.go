@@ -40,8 +40,6 @@ func (k Kind) String() string {
 // Access is one main-memory access (a lowest-level-cache miss or
 // writeback). An access may require up to three SDRAM transactions —
 // precharge, activate, column — depending on bank state.
-//
-//burstmem:shared accesses are pooled controller-wide; the pool (and the free-list links) will be arbitrated by the controller goroutine, and an in-flight access is owned by exactly one channel between enqueue and completion
 type Access struct {
 	ID   uint64
 	Kind Kind
@@ -86,8 +84,6 @@ func (a *Access) Next() *Access { return a.next }
 // AccessList is an intrusive doubly-linked list of accesses. Push, pop and
 // removal are O(1) and allocation-free; mechanisms use one per bank so
 // arbitration never splices slices.
-//
-//burstmem:chanlocal
 type AccessList struct {
 	head, tail *Access
 	n          int

@@ -5,8 +5,6 @@ package memctrl
 // scheduling mechanisms. Push/pop/remove are O(1); finding banks with
 // queued work is a bitmap walk (bits.TrailingZeros64) instead of a scan
 // over every rank×bank slot.
-//
-//burstmem:chanlocal
 type BankQueues struct {
 	banks int
 	qs    []AccessList // flattened [rank*banks + bank]

@@ -85,8 +85,6 @@ func (c Config) Validate() error {
 const latencyHistSize = 2048
 
 // CtrlStats aggregates controller-level statistics across channels.
-//
-//burstmem:shared aggregated across every channel; updated only by the controller goroutine
 type CtrlStats struct {
 	ReadLatency  stats.Mean // arrival -> data returned, memory cycles
 	WriteLatency stats.Mean // arrival -> data drained, memory cycles
@@ -129,8 +127,6 @@ type completion struct {
 // time. It sifts exactly like container/heap (so event order among equal
 // times is unchanged) without the interface boxing that allocated on every
 // Push/Pop.
-//
-//burstmem:shared completion events from every channel funnel through the one heap the controller goroutine drains
 type completionHeap struct{ s []completion }
 
 func (h *completionHeap) peek() *completion { return &h.s[0] }
@@ -178,8 +174,6 @@ func (h *completionHeap) pop() completion {
 
 // Controller is the full memory controller: one Mechanism instance per
 // channel sharing a global access pool, plus statistics.
-//
-//burstmem:shared owns the cross-channel access pool, completion heap and aggregate statistics; stays on the controller goroutine in the parallel refactor
 type Controller struct {
 	cfg    Config
 	mapper addrmap.Mapper
@@ -209,10 +203,6 @@ type Controller struct {
 	// pointer retained past completion keeps its final values until the
 	// object is reused by a later Submit.
 	freeAccess *Access
-
-	// par is the channel-shard worker coordinator; nil on the serial path
-	// (the default). See parallel.go and SetWorkers.
-	par *parRun
 
 	// minColLat is the smallest possible gap, in cycles, between a column
 	// command issuing and its data finishing: min(TCL, TCWD) + the data
@@ -309,7 +299,6 @@ func (c *Controller) SetTracer(tr *trace.Tracer) {
 	c.tracer = tr
 	for i, ch := range c.channels {
 		ch.SetTracer(tr, i)
-		c.hosts[i].tr = tr
 	}
 }
 
@@ -418,42 +407,15 @@ func (c *Controller) Submit(kind Kind, addr uint64, onComplete func(*Access, uin
 //burstmem:hotpath
 func (c *Controller) Tick(now uint64) {
 	c.now = now
-	c.drainCompletions(now)
-	if c.par != nil && !c.par.rankMode {
-		c.tickChannelsParallel(now)
-	} else {
-		if c.par != nil {
-			// Rank-sharded mode: one barrier round runs the mechanisms'
-			// per-rank prewarm hooks (no-ops now that the engine's bounds
-			// are exact), then the channel and mechanism tick serially on
-			// this goroutine.
-			c.par.rounds++
-			c.par.pool.Run()
-		}
-		for i, ch := range c.channels {
-			ch.Tick(now)
-			c.mechs[i].Tick(now)
-		}
-	}
-	c.samplePhase(now)
-}
-
-// drainCompletions fires every completion due at or before now (phase A).
-//
-//burstmem:hotpath
-func (c *Controller) drainCompletions(now uint64) {
 	for !c.completions.empty() && c.completions.peek().at <= now {
 		done := c.completions.pop()
 		c.finish(done.access, done.at)
 		c.release(done.access)
 	}
-}
-
-// samplePhase rolls the per-cycle sampled statistics for one ticked cycle
-// (phase D).
-//
-//burstmem:hotpath
-func (c *Controller) samplePhase(now uint64) {
+	for i, ch := range c.channels {
+		ch.Tick(now)
+		c.mechs[i].Tick(now)
+	}
 	c.Stats.Cycles++
 	c.Stats.OutstandingReads.Add(c.poolReads)
 	c.Stats.OutstandingWrites.Add(c.poolWrites)
@@ -487,40 +449,18 @@ func (c *Controller) WindowBound(from uint64) uint64 {
 }
 
 // TickWindow advances the controller through cycles [from, to) in one
-// batch. Caller contract: from is the cycle after the last ticked one,
+// call. Caller contract: from is the cycle after the last ticked one,
 // to <= WindowBound(from), and no Submit call happens for the whole
 // window. Observable behaviour — statistics, trace stream, completion
-// order — is bit-identical to calling Tick for each cycle; the parallel
-// coordinator crosses its barrier once for the whole window instead of
-// once per cycle.
+// order — is identical to calling Tick for each cycle: it is the same
+// loop. What the batch buys is on the caller's side: the system loop
+// hands the whole window over in one call and skips the per-cycle
+// FSB.Tick and CPU-domain inert checks for those cycles.
 //
 //burstmem:hotpath
 func (c *Controller) TickWindow(from, to uint64) {
-	if to <= from {
-		return
-	}
-	if c.par != nil {
-		c.par.windows++
-		c.par.windowCycles += to - from
-	}
-	if c.par != nil && !c.par.rankMode {
-		c.tickWindowParallel(from, to)
-		return
-	}
-	if c.par != nil {
-		// Rank-sharded mode: one prewarm round covers the window start;
-		// the engine re-syncs serially as always.
-		c.par.rounds++
-		c.par.pool.Run()
-	}
 	for cyc := from; cyc < to; cyc++ {
-		c.now = cyc
-		c.drainCompletions(cyc)
-		for i, ch := range c.channels {
-			ch.Tick(cyc)
-			c.mechs[i].Tick(cyc)
-		}
-		c.samplePhase(cyc)
+		c.Tick(cyc)
 	}
 }
 
@@ -588,9 +528,6 @@ func (c *Controller) AccountSkipped(k uint64) {
 	if k == 0 {
 		return
 	}
-	if c.par != nil {
-		c.par.skipCycles += k
-	}
 	c.Stats.Cycles += k
 	c.Stats.OutstandingReads.AddN(c.poolReads, k)
 	c.Stats.OutstandingWrites.AddN(c.poolWrites, k)
@@ -644,7 +581,6 @@ func (c *Controller) finish(a *Access, at uint64) {
 			a.Loc.Row, a.ID, a.Start, flags)
 	}
 	if a.OnComplete != nil {
-		//lint:ignore sharestate completion callback is the public API's wakeup hook; callers own what it writes (the core updates chanlocal bank state)
 		a.OnComplete(a, at)
 	}
 }
@@ -710,54 +646,14 @@ func (c *Controller) EffectiveBandwidth() float64 {
 }
 
 // Host is a mechanism's view of the controller: its channel plus the
-// shared-state queries and completion plumbing mechanisms need. Under
-// parallel execution each Host belongs to exactly one channel shard, and
-// its emit/complete plumbing is the seam where per-shard effects are
-// buffered for the canonical post-barrier merge.
+// shared-state queries and completion plumbing mechanisms need.
 type Host struct {
 	ctrl  *Controller
 	chIdx int
 	ch    *dram.Channel
 	// engine is the last Engine built on this host (NewEngine records
 	// it), so tests can cross-check a mechanism's engine from outside.
-	//
-	//burstmem:chanlocal
 	engine *Engine
-
-	// tr is the tracer mechanisms emit through: the controller's tracer on
-	// the serial path, this channel's capture tracer inside a parallel
-	// barrier round (tickChannelsParallel swaps it at the round edges).
-	//
-	//burstmem:shared swapped only by the controller goroutine at barrier edges; a shard reads it only inside its own round, ordered by the pool barrier
-	tr *trace.Tracer
-
-	// buffered routes CompleteAt into pending instead of the controller's
-	// completion heap while this host's shard may be running off-thread.
-	//
-	//burstmem:shared toggled only by the controller goroutine around the barrier; constant while shards run
-	buffered bool
-
-	// pending holds this shard's completion pushes during a barrier round;
-	// the controller flushes it into the heap in channel order afterwards,
-	// reproducing the serial path's exact heap push order. Each entry is
-	// stamped with the channel cycle that pushed it, so a multi-cycle
-	// window round can flush cycle-major across channels (the serial
-	// order); pendCur is the window merge's flush cursor.
-	//
-	//burstmem:chanlocal
-	pending []shardCompletion
-	// pendCur is advanced only by the coordinator's serial merge, but it
-	// belongs to this host's object graph like pending itself.
-	//
-	//burstmem:chanlocal
-	pendCur int
-}
-
-// shardCompletion is one buffered completion push plus the channel cycle
-// that produced it.
-type shardCompletion struct {
-	completion
-	pushed uint64
 }
 
 // Channel returns the host channel device.
@@ -769,11 +665,9 @@ func (h *Host) ChannelIndex() int { return h.chIdx }
 // Config returns the controller configuration.
 func (h *Host) Config() Config { return h.ctrl.cfg }
 
-// Tracer returns the tracer this host currently emits through (nil when
-// tracing is off): the controller's tracer, or — inside a parallel barrier
-// round — this channel's capture tracer. The nil tracer is safe to emit
-// on, so mechanisms never check.
-func (h *Host) Tracer() *trace.Tracer { return h.tr }
+// Tracer returns the controller's tracer (nil when tracing is off). The
+// nil tracer is safe to emit on, so mechanisms never check.
+func (h *Host) Tracer() *trace.Tracer { return h.ctrl.tracer }
 
 // GlobalWrites returns the controller-wide pending write count, the
 // occupancy the paper's threshold compares against.
@@ -804,7 +698,7 @@ func (h *Host) StartAccess(a *Access, now uint64) {
 	a.Start = now
 	a.Outcome = h.ch.Classify(a.Target())
 	h.ch.RecordOutcome(a.Outcome)
-	h.tr.Start(now, h.chIdx, int(a.Loc.Rank), int(a.Loc.Bank), a.Loc.Row,
+	h.ctrl.tracer.Start(now, h.chIdx, int(a.Loc.Rank), int(a.Loc.Bank), a.Loc.Row,
 		a.ID, int(a.Outcome), a.Kind == KindWrite)
 }
 
@@ -815,15 +709,5 @@ func (h *Host) StartAccess(a *Access, now uint64) {
 func (h *Host) CompleteAt(a *Access, dataEnd uint64) {
 	a.san.checkLive(a, "CompleteAt")
 	a.DataEnd = dataEnd
-	if h.buffered {
-		// Parallel barrier round: defer the heap push. The controller
-		// flushes pending in channel order after the barrier, so the heap
-		// sees pushes in the exact order the serial loop would produce
-		// (the heap's equal-time tie-break depends on push order).
-		//lint:ignore hotalloc per-shard completion buffer; capacity is retained across cycles and bounded by in-flight accesses
-		h.pending = append(h.pending,
-			shardCompletion{completion{at: dataEnd, access: a}, h.ch.Now()})
-		return
-	}
 	h.ctrl.completions.push(completion{at: dataEnd, access: a})
 }

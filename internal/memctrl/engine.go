@@ -26,8 +26,6 @@ import (
 // queries then come from the cache: a bank can issue now exactly when its
 // bound has arrived (plus one per-rank refresh test for activates), and the
 // next event is the minimum bound.
-//
-//burstmem:chanlocal
 type Engine struct {
 	host    *Host
 	ch      *dram.Channel // host.Channel(), one load closer
@@ -76,8 +74,6 @@ type Engine struct {
 // read and arrival copy the ongoing access's target row, kind and arrival
 // stamp at SetOngoing, so neither sync, the Unblocked walk nor
 // OldestOngoing dereferences the access.
-//
-//burstmem:chanlocal
 type bankHint struct {
 	cmd     dram.Cmd
 	row     uint32
@@ -104,8 +100,6 @@ func (h *bankHint) foldColumn(busRead, busWrite uint64) {
 // access kind (read vs write) — the four groups the paper's Table 2
 // priority ranks. Refresh never appears: it is channel-internal and is not
 // a candidate transaction.
-//
-//burstmem:chanlocal
 type BankClasses struct {
 	ColRead  []uint64
 	ColWrite []uint64
@@ -244,16 +238,6 @@ func (e *Engine) sync() {
 	}
 	e.minFull = min
 }
-
-// PrewarmRanks is the rank-sharded parallel mode's per-rank hook
-// (RankPrewarmer). It has nothing left to do: the dirty-rank marks it
-// would read are consumed by sync, and sync's per-rank work is a few
-// channel queries per marked rank, cheaper than a barrier round could
-// save. Kept as a no-op so rank mode stays selectable until the parallel
-// path is removed.
-//
-//burstmem:hotpath
-func (e *Engine) PrewarmRanks(lo, hi int) {}
 
 // Candidate is a bank's next transaction, with its unblocked status this
 // cycle.
@@ -441,7 +425,6 @@ func (e *Engine) Issue(c Candidate, now uint64) {
 	if c.IsColumn() {
 		e.host.CompleteAt(a, res.DataEnd)
 		if e.onColumn != nil {
-			//lint:ignore sharestate mechanism-supplied issue hook fixed at engine construction; each mechanism owns one channel's state
 			e.onColumn(a, now)
 		}
 		e.ClearOngoing(c.Rank, c.Bank)

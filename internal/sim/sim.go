@@ -47,14 +47,6 @@ type Config struct {
 	// measures that. 0 or 1 means a single core.
 	Cores int
 
-	// Workers shards memory-channel execution across a bounded worker
-	// pool, one shard per channel, with a barrier per memory cycle
-	// (internal/parsim via memctrl.Controller.SetWorkers). 0 or 1 keeps
-	// the serial path; higher values clamp to the channel count. Output
-	// is bit-identical for every setting — the parallel differential
-	// suite (parsim_test.go) asserts it byte for byte.
-	Workers int
-
 	// WarmupInstructions run before the measurement window opens (caches
 	// fill, writeback traffic reaches steady state); statistics are then
 	// reset and Instructions more are measured.
@@ -102,9 +94,6 @@ func (c Config) Validate() error {
 	}
 	if c.Cores < 0 || c.Cores > 64 {
 		return fmt.Errorf("sim: cores %d out of [0, 64]", c.Cores)
-	}
-	if c.Workers < 0 || c.Workers > 1024 {
-		return fmt.Errorf("sim: workers %d out of [0, 1024]", c.Workers)
 	}
 	if c.Instructions == 0 {
 		return fmt.Errorf("sim: zero instruction target")
@@ -178,19 +167,14 @@ type System struct {
 	// (reference mode for equivalence testing).
 	DisableSkip bool
 
-	// memCycle is the machine clock, advanced only by the coordinating
-	// goroutine between barrier rounds (StepMemCycle / TrySkip /
-	// tryWindow); shards never touch it.
-	//
-	//burstmem:shared machine clock: written only by the coordinator between barrier rounds
-	memCycle     uint64
+	memCycle     uint64 // the machine clock
 	measureStart uint64 // memCycle when the measurement window opened
 }
 
 // minWindowCycles is the shortest span tryWindow batches into a TickWindow
-// call. Below this a window saves no barrier rounds over per-cycle ticking
-// (a 1-cycle window is one round either way), so short spans stay on the
-// plain path and windows only open where they amortize.
+// call. A window saves StepMemCycle's per-cycle FSB.Tick and CPU-domain
+// inert checks for the cycles it covers; shorter spans stay on the
+// per-cycle path. perfbench/traced.go mirrors the constant.
 const minWindowCycles = 4
 
 // NewSystem builds the machine for one benchmark profile and mechanism.
@@ -261,24 +245,8 @@ func newSystem(cfg Config, gens []workload.Generator, factory memctrl.Factory) (
 	}
 	sys.CPU = sys.CPUs[0]
 	sys.L1D = sys.L1Ds[0]
-	sys.SetWorkers(cfg.Workers)
 	return sys, nil
 }
-
-// SetWorkers attaches (n >= 2) or detaches (n <= 1) the parallel channel
-// worker pool. Safe to call between any two memory cycles — including at
-// skip-window boundaries mid-run — without perturbing results; the
-// metamorphic equivalence test flips it mid-measurement and still demands
-// byte-identical output.
-func (s *System) SetWorkers(n int) { s.Ctrl.SetWorkers(n) }
-
-// Workers returns the effective parallel worker count (1 when serial).
-func (s *System) Workers() int { return s.Ctrl.Workers() }
-
-// Close releases the parallel worker pool, if any. The system stays usable
-// afterwards on the serial path (and SetWorkers can re-arm it). Run,
-// RunGenerator and RunSystem close the system when they return.
-func (s *System) Close() { s.Ctrl.SetWorkers(0) }
 
 // StepMemCycle advances the machine one memory cycle. When every CPU-clock
 // component reports (via its NextEventCycle bound) that all R subcycles of
@@ -383,13 +351,13 @@ func (s *System) TrySkip() uint64 {
 // tryWindow is TrySkip's fallback when the memory controller itself is
 // busy (so a pure skip is impossible) but the CPU domain is asleep and the
 // FSB quiet: the controller ticks through a completion-free window
-// [memCycle+1, B) in one TickWindow batch — one barrier crossing on the
-// parallel path instead of one per cycle — while the FSB and CPU domain
-// bulk-account the same cycles exactly as a pure skip would. B is bounded
-// by the controller's window guarantee (no completion can fire before it)
-// and the FSB's own next-event cycle (no response delivery or submission
-// before it), so no cross-domain interaction is jumped: the cycle B itself
-// is stepped in full by the next StepMemCycle.
+// [memCycle+1, B) in one TickWindow batch while the FSB and CPU domain
+// bulk-account the same cycles exactly as a pure skip would, so those
+// cycles pay no per-cycle FSB.Tick and no CPU-domain inert checks. B is
+// bounded by the controller's window guarantee (no completion can fire
+// before it) and the FSB's own next-event cycle (no response delivery or
+// submission before it), so no cross-domain interaction is jumped: the
+// cycle B itself is stepped in full by the next StepMemCycle.
 //
 //burstmem:hotpath
 func (s *System) tryWindow() uint64 {
@@ -399,9 +367,6 @@ func (s *System) tryWindow() uint64 {
 		to = fsbNext
 	}
 	if to < from+minWindowCycles {
-		// A short window amortizes nothing: a 1-cycle TickWindow costs
-		// exactly one barrier round, the same as a plain Tick. Let the
-		// normal per-cycle path handle it.
 		return 0
 	}
 	s.Ctrl.TickWindow(from, to)
@@ -454,9 +419,8 @@ func RunSystem(cfg Config, sys *System, name string) (Result, error) {
 }
 
 // runSystem drives an assembled machine through warmup and the measurement
-// window, releasing any parallel worker pool when it returns.
+// window.
 func runSystem(cfg Config, sys *System, name string) (Result, error) {
-	defer sys.Close()
 	maxCycles := cfg.MaxMemCycles
 	if maxCycles == 0 {
 		cores := uint64(1)

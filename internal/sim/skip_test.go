@@ -72,17 +72,6 @@ func TestFastForwardBitIdentical(t *testing.T) {
 				t.Errorf("FastForward diverged from StepMemCycle:\n stepped: %+v\n skipped: %+v",
 					stepped, skipped)
 			}
-			// The same invariant must hold with channel execution sharded
-			// across the worker pool: skipping, stepping, serial and
-			// parallel are four routes to one bit-identical simulation.
-			cfg.Workers = 2
-			for _, disableSkip := range []bool{true, false} {
-				par := runWith(t, cfg, tc.bench, tc.mech, disableSkip)
-				if !reflect.DeepEqual(stepped, par) {
-					t.Errorf("workers=2 (disableSkip=%v) diverged from serial reference:\n serial:   %+v\n parallel: %+v",
-						disableSkip, stepped, par)
-				}
-			}
 		})
 	}
 }
@@ -120,15 +109,6 @@ func TestRunDeterministic(t *testing.T) {
 			b := runQuick(t, "swim", mech)
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("two identical runs differ:\n first: %+v\nsecond: %+v", a, b)
-			}
-			// Parallel runs must be just as repeatable: scheduler
-			// interleaving across the worker pool never reaches results.
-			cfg := quickConfig()
-			cfg.Workers = 2
-			pa := runWith(t, cfg, "swim", mech, false)
-			pb := runWith(t, cfg, "swim", mech, false)
-			if !reflect.DeepEqual(pa, pb) {
-				t.Errorf("two identical workers=2 runs differ:\n first: %+v\nsecond: %+v", pa, pb)
 			}
 		})
 	}

@@ -14,11 +14,9 @@
 # here means a per-cycle allocation crept in).
 #
 # Full runs also record burstlint's wall time over ./... as a "burstlint"
-# entry (with the shared call-graph/summary build as "burstlint_interproc"
-# and the Andersen points-to solve as "burstlint_pointsto"): the analyzers
-# build per-function CFGs, run worklist solvers, and solve whole-program
-# constraint systems, and this keeps their cost on the same trajectory
-# chart as the simulator itself.
+# entry (with the shared call-graph/summary build as "burstlint_interproc"):
+# the analyzers build per-function CFGs and run worklist solvers, and this
+# keeps their cost on the same trajectory chart as the simulator itself.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,7 +29,7 @@ if [[ "${1:-}" == "-short" ]]; then
     OUT=""
 fi
 
-RAW=$(go test -run '^$' -bench 'BenchmarkSimThroughput|BenchmarkParallelSim' -benchmem -benchtime "$BENCHTIME" .)
+RAW=$(go test -run '^$' -bench 'BenchmarkSimThroughput' -benchmem -benchtime "$BENCHTIME" .)
 echo "$RAW"
 
 [[ -z "$OUT" ]] && exit 0
@@ -46,12 +44,11 @@ echo "$QRAW"
 
 # Wall time of the full static-analysis suite (build of burstlint itself
 # excluded: compile first, then time the lint run). -timing reports how
-# long the shared interprocedural builds — the CHA call graph plus effect
-# summaries ("burstlint_interproc") and the Andersen points-to solution
-# ("burstlint_pointsto"), each computed once and cached across the
-# whole-program analyzers — took inside that total; they land as their own
-# entries so the interprocedural tier's cost is tracked separately from
-# load/typecheck and the points-to solver's cost separately from both.
+# long the shared interprocedural build — the CHA call graph plus effect
+# summaries ("burstlint_interproc"), computed once and cached across the
+# whole-program analyzers — took inside that total; it lands as its own
+# entry so the interprocedural tier's cost is tracked separately from
+# load/typecheck.
 go build -o /tmp/burstlint.$$ ./cmd/burstlint
 LINT_NS_START=$(date +%s%N)
 LINT_TIMING=$(/tmp/burstlint.$$ -timing ./... 2>&1 >/dev/null)
@@ -59,10 +56,9 @@ LINT_NS_END=$(date +%s%N)
 rm -f /tmp/burstlint.$$
 LINT_MS=$(( (LINT_NS_END - LINT_NS_START) / 1000000 ))
 INTERPROC_MS=$(echo "$LINT_TIMING" | awk '/^timing (callgraph|summary) /{ms += $3} END {print ms + 0}')
-POINTSTO_MS=$(echo "$LINT_TIMING" | awk '/^timing pointsto /{ms += $3} END {print ms + 0}')
-echo "burstlint ./...: ${LINT_MS} ms (interprocedural build: ${INTERPROC_MS} ms, points-to solve: ${POINTSTO_MS} ms)"
+echo "burstlint ./...: ${LINT_MS} ms (interprocedural build: ${INTERPROC_MS} ms)"
 
-{ echo "$RAW"; echo "$QRAW"; } | awk -v lint_ms="$LINT_MS" -v interproc_ms="$INTERPROC_MS" -v pointsto_ms="$POINTSTO_MS" '
+{ echo "$RAW"; echo "$QRAW"; } | awk -v lint_ms="$LINT_MS" -v interproc_ms="$INTERPROC_MS" '
 BEGIN { print "["; first = 1 }
 /^BenchmarkEventQueue|^BenchmarkEventWheel/ {
     name = $1
@@ -74,36 +70,6 @@ BEGIN { print "["; first = 1 }
     if (!first) print ","
     first = 0
     printf "  {\"case\": \"eventq/%s\", \"ns_per_op\": %s}", name, nsop
-}
-/^BenchmarkParallelSim\// {
-    # Channel-shard worker-pool cases land as parallel/<bench>/<mech>/workersN;
-    # the 4-worker-to-serial simcycles/s ratio on the swim case is emitted at
-    # END as parallel_scaling_efficiency (on a 1-CPU host this measures
-    # barrier overhead, not speedup). barrier_crossings_per_kcycle counts
-    # pool barrier rounds per thousand simulated cycles (one per ticked
-    # cycle without windows); idle_crossings_per_kcycle is the same rate
-    # restricted to the batched skip/window phases, where per-cycle
-    # barriers would cost 1000.
-    name = $1
-    sub(/^BenchmarkParallelSim\//, "", name)
-    sub(/-[0-9]+$/, "", name)
-    nsop = ""; cyc = ""; bop = ""; aop = ""; bxk = ""; ixk = ""
-    for (i = 2; i <= NF; i++) {
-        if ($(i+1) == "ns/op") nsop = $i
-        if ($(i+1) == "simcycles/s") cyc = $i
-        if ($(i+1) == "B/op") bop = $i
-        if ($(i+1) == "allocs/op") aop = $i
-        if ($(i+1) == "barrier_crossings_per_kcycle") bxk = $i
-        if ($(i+1) == "idle_crossings_per_kcycle") ixk = $i
-    }
-    if (cyc == "") next
-    if (name ~ /^swim\/.*\/workers1$/) { base_cyc = cyc }
-    if (name ~ /^swim\/.*\/workers4$/) { four_cyc = cyc }
-    if (!first) print ","
-    first = 0
-    printf "  {\"case\": \"parallel/%s\", \"simcycles_per_sec\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"barrier_crossings_per_kcycle\": %s", name, cyc, nsop, bop, aop, bxk
-    if (ixk != "") printf ", \"idle_crossings_per_kcycle\": %s", ixk
-    printf "}"
 }
 /^BenchmarkSimThroughput\// {
     name = $1
@@ -122,15 +88,9 @@ BEGIN { print "["; first = 1 }
     printf "  {\"case\": \"%s\", \"simcycles_per_sec\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"steady_state_allocs_per_op\": %s}", name, cyc, nsop, bop, aop, hot
 }
 END {
-    if (base_cyc != "" && four_cyc != "") {
-        if (!first) print ","
-        first = 0
-        printf "  {\"case\": \"parallel_scaling_efficiency\", \"workers4_over_serial\": %.3f}", four_cyc / base_cyc
-    }
     if (!first) print ","
     printf "  {\"case\": \"burstlint\", \"wall_ms\": %s},\n", lint_ms
-    printf "  {\"case\": \"burstlint_interproc\", \"wall_ms\": %s},\n", interproc_ms
-    printf "  {\"case\": \"burstlint_pointsto\", \"wall_ms\": %s}\n", pointsto_ms
+    printf "  {\"case\": \"burstlint_interproc\", \"wall_ms\": %s}\n", interproc_ms
     print "]"
 }
 ' > "$OUT"

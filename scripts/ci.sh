@@ -23,23 +23,15 @@ go build ./...
 echo "== burstlint =="
 go run ./cmd/burstlint ./...
 
-echo "== interprocedural tier (call graph, effect summaries, ownership gate) =="
-# The burstlint stage above already fails if sharestate/detflow/goroutcheck
+echo "== interprocedural tier (call graph, effect summaries) =="
+# The burstlint stage above already fails if detflow/goroutcheck/leakcheck
 # find anything on the tree; this stage runs the tier's own corpus tests so
-# a regression in the machinery is caught even when the tree happens to be
-# annotated around it.
+# a regression in the machinery is caught even when the tree happens to
+# give it nothing to report.
 go test -count=1 \
     ./internal/analysis/callgraph/ ./internal/analysis/summary/ \
-    ./internal/analysis/sharestate/ ./internal/analysis/detflow/ \
-    ./internal/analysis/goroutcheck/
-
-echo "== pointsto tier (Andersen solver, ownership audit, concurrency-hygiene analyzers) =="
-# The points-to solution backs sharestate's annotation audit and the
-# leakcheck/ctxflow/chanflow analyzers; this stage runs the solver's own
-# probe corpus plus each analyzer's analysistest corpus.
-go test -count=1 \
-    ./internal/analysis/pointsto/ ./internal/analysis/leakcheck/ \
-    ./internal/analysis/ctxflow/ ./internal/analysis/chanflow/
+    ./internal/analysis/detflow/ ./internal/analysis/goroutcheck/ \
+    ./internal/analysis/leakcheck/
 
 echo "== burstlint golden (CLI output/exit-code contract) =="
 go test -count=1 -run 'TestGolden|TestExitCode' ./cmd/burstlint/
@@ -64,24 +56,21 @@ go test -count=1 -tags invariants -run 'TestEngineShadow|TestEngineQueriesDiffer
 go test -count=1 -tags invariants -run 'TestTraceSkipEquivalence' ./internal/sim/
 go test -count=1 -run 'FuzzQueueDifferential|TestQueueDifferential|TestWheel' ./internal/eventq/
 
-echo "== parallel-sim gate (differential equivalence + barrier fuzz seeds under -race, then a -count=2 determinism rerun) =="
-# The full -race stage above already covers these packages once; this stage
-# pins the contract explicitly. First the differential/metamorphic suite and
-# the FuzzParallelBarrier seed corpus under the race detector (-short bounds
-# the matrix: the full sweep runs in the plain -race stage), then the
-# equivalence suite twice in one invocation — identical configurations must
-# produce bit-identical results run to run, not just shard-merge to match
-# serial once.
-go test -race -short -count=1 -run 'Parallel' ./internal/sim/
-go test -race -count=1 ./internal/parsim/
-go test -count=2 -run 'TestParallelEquivalence' ./internal/sim/
-
 echo "== traced simulation (memsim -trace, exported JSON must parse) =="
 tracetmp="$(mktemp -d)"
 trap 'rm -rf "$tracetmp"' EXIT
 go run ./cmd/memsim -bench swim -mech Burst_TH -n 50000 -warmup 20000 \
     -trace "$tracetmp/trace.json" -trace-interval 500 >/dev/null
 go run ./scripts/jsoncheck "$tracetmp/trace.json"
+
+echo "== invariants grid (DDR2 sanitizer over every experiment, output unchanged) =="
+# The reduced full grid — every mechanism on every benchmark profile — runs
+# once with the DDR2 protocol sanitizer and the engine/parking shadows armed
+# and once without. Any timing violation panics the tagged run, and the two
+# stdouts must be byte-identical: the checks only observe.
+go run -tags invariants ./cmd/experiments -exp all -n 20000 -warmup 20000 > "$tracetmp/grid_invariants.txt"
+go run ./cmd/experiments -exp all -n 20000 -warmup 20000 > "$tracetmp/grid_plain.txt"
+cmp "$tracetmp/grid_invariants.txt" "$tracetmp/grid_plain.txt"
 
 echo "== serial perf gate (swim/Burst_TH, same-host A/B against the parent) =="
 # The baseline is measured on this host, in this run: the parent of the

@@ -9,8 +9,7 @@
 // shape: a non-empty JSON array of objects, each carrying a non-empty
 // "case" string (the key every consumer joins on). Files that record lint
 // timings (a "burstlint" entry is present) must carry the full family —
-// burstlint, burstlint_interproc, burstlint_pointsto — each with a
-// numeric wall_ms.
+// burstlint and burstlint_interproc — each with a numeric wall_ms.
 //
 //	go run ./scripts/jsoncheck trace.json
 //	go run ./scripts/jsoncheck -bench BENCH_sim.json
@@ -84,7 +83,7 @@ func checkBench(path string, data []byte) {
 	// numeric wall_ms: a bench.sh edit that drops one silently would
 	// otherwise erase its trajectory.
 	if _, ok := cases["burstlint"]; ok {
-		for _, name := range []string{"burstlint", "burstlint_interproc", "burstlint_pointsto"} {
+		for _, name := range []string{"burstlint", "burstlint_interproc"} {
 			e, ok := cases[name]
 			if !ok {
 				fatal(fmt.Errorf("%s: %q entry present but %q missing", path, "burstlint", name))
